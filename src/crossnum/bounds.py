@@ -12,14 +12,14 @@ outside the validity range and raises only for nonsensical arguments.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from ._logs import log_int
-from .combinatorics import count_cross
+from .combinatorics import _write_csv, count_cross
 from .spectra import SpectrumTable, WeightKind, exact_an_sharp, rearranged_spectrum
 
 TOLERANCE = 1e-12
@@ -49,31 +49,72 @@ class BoundFormula(Enum):
     INTM_LOWER_413 = "intm-lower-413"
 
 
+def _from_27(d: int) -> int:
+    return 27 ** d  # upper bounds of Thms 4.3/4.9/4.10/4.13
+
+
+@lru_cache(maxsize=1024)
+def _past_12e2(d: int) -> int:
+    # Lower bounds of Thms 4.3/4.9/4.10/4.13 need n > (12 e^2)^d.  The
+    # threshold is irrational, so bisect for the least n passing the exact
+    # comparison log_int(n) > d (ln 12 + 2); no float power can overflow.
+    t = d * (_LN12 + 2.0)
+    bits = int(t / _LN2) + 2  # log_int(2^(bits-4)) <= t < log_int(2^bits)
+    # past 960 bits log_int reads only the top 64 bits of n, so every
+    # aligned block of 2^shift candidates compares alike
+    shift = max(0, bits - 1000)
+    lo, hi = 1 << (bits - 4 - shift), 1 << (bits - shift)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if log_int(mid << shift) > t:
+            hi = mid
+        else:
+            lo = mid
+    return hi << shift
+
+
+def _pre_cap(d: int) -> int:
+    return (d * 4 ** d) // 2
+
+
 @dataclass(frozen=True)
 class FormulaInfo:
+    """What a formula bounds and where it holds.
+
+    At dimension d the formula is valid for ``first(d) <= n``, and also
+    ``n <= cap(d)`` when ``cap`` is set; it is valid nowhere for d below
+    ``min_d``.
+    """
+
     side: str          # "upper" | "lower" | "constant"
     family: str        # weight family whose spectrum the formula bounds
     experimental: bool = False
+    first: Callable[[int], int] = lambda d: 1
+    cap: Callable[[int], int] | None = None
+    min_d: int = 1
 
 
 _INFO = {
     BoundFormula.ASYMPTOTIC_CONSTANT: FormulaInfo("constant", "sharp"),
-    BoundFormula.SHARP_UPPER_43: FormulaInfo("upper", "sharp"),
-    BoundFormula.SHARP_LOWER_43: FormulaInfo("lower", "sharp"),
+    BoundFormula.SHARP_UPPER_43: FormulaInfo("upper", "sharp", first=_from_27),
+    BoundFormula.SHARP_LOWER_43: FormulaInfo("lower", "sharp", first=_past_12e2),
     # The remark refinement's printed range starts far too early; the
     # implemented range is the one its own construction supports.  Kept out
     # of blanket sweeps.
-    BoundFormula.SHARP_LOWER_REMARK: FormulaInfo("lower", "sharp", experimental=True),
-    BoundFormula.TENSOR_TRICK_45: FormulaInfo("upper", "sharp"),
+    BoundFormula.SHARP_LOWER_REMARK: FormulaInfo("lower", "sharp", experimental=True,
+                                                 first=lambda d: 144 ** d + 1),
+    BoundFormula.TENSOR_TRICK_45: FormulaInfo("upper", "sharp", first=lambda d: 15 ** d),
     BoundFormula.P_SQUARED: FormulaInfo("upper", "sharp"),
-    BoundFormula.PRE_UPPER_46: FormulaInfo("upper", "sharp"),
-    BoundFormula.PRE_LOWER_47: FormulaInfo("lower", "sharp"),
-    BoundFormula.PLUS_UPPER_49: FormulaInfo("upper", "plus"),
-    BoundFormula.PLUS_LOWER_49: FormulaInfo("lower", "plus"),
-    BoundFormula.STAR_UPPER_410: FormulaInfo("upper", "star"),
-    BoundFormula.STAR_LOWER_410: FormulaInfo("lower", "star"),
-    BoundFormula.INTM_UPPER_413: FormulaInfo("upper", "intm"),
-    BoundFormula.INTM_LOWER_413: FormulaInfo("lower", "intm"),
+    # the preasymptotic pair holds for n <= d 4^d / 2 and d >= 2
+    BoundFormula.PRE_UPPER_46: FormulaInfo("upper", "sharp", cap=_pre_cap, min_d=2),
+    BoundFormula.PRE_LOWER_47: FormulaInfo("lower", "sharp", first=lambda d: 2,
+                                           cap=_pre_cap, min_d=2),
+    BoundFormula.PLUS_UPPER_49: FormulaInfo("upper", "plus", first=_from_27),
+    BoundFormula.PLUS_LOWER_49: FormulaInfo("lower", "plus", first=_past_12e2),
+    BoundFormula.STAR_UPPER_410: FormulaInfo("upper", "star", first=_from_27),
+    BoundFormula.STAR_LOWER_410: FormulaInfo("lower", "star", first=_past_12e2),
+    BoundFormula.INTM_UPPER_413: FormulaInfo("upper", "intm", first=_from_27),
+    BoundFormula.INTM_LOWER_413: FormulaInfo("lower", "intm", first=_past_12e2),
 }
 
 
@@ -118,28 +159,10 @@ def asymptotic_constant(d: int, s: float) -> float:
     return math.exp(s * (d * _LN2 - math.lgamma(d)))
 
 
-def _is_valid(formula: BoundFormula, n: int, d: int, s: float) -> bool:
-    if formula is BoundFormula.ASYMPTOTIC_CONSTANT:
-        return True
-    if formula in (BoundFormula.SHARP_UPPER_43, BoundFormula.PLUS_UPPER_49,
-                   BoundFormula.STAR_UPPER_410, BoundFormula.INTM_UPPER_413):
-        return n >= 27 ** d
-    if formula in (BoundFormula.SHARP_LOWER_43, BoundFormula.PLUS_LOWER_49,
-                   BoundFormula.STAR_LOWER_410, BoundFormula.INTM_LOWER_413):
-        # threshold (12 e^2)^d is irrational; compare in log space
-        return n >= 2 and log_int(n) > d * (_LN12 + 2.0)
-    if formula is BoundFormula.SHARP_LOWER_REMARK:
-        return n > 144 ** d
-    if formula is BoundFormula.TENSOR_TRICK_45:
-        return n >= 15 ** d
-    if formula is BoundFormula.P_SQUARED:
-        return True
-    cap = (d * 4 ** d) // 2
-    if formula is BoundFormula.PRE_UPPER_46:
-        return d >= 2 and n <= cap
-    if formula is BoundFormula.PRE_LOWER_47:
-        return d >= 2 and 2 <= n <= cap
-    raise AssertionError(formula)
+def _is_valid(formula: BoundFormula, n: int, d: int) -> bool:
+    info = _INFO[formula]
+    return (d >= info.min_d and n >= info.first(d)
+            and (info.cap is None or n <= info.cap(d)))
 
 
 def _log_value(formula: BoundFormula, n: int, d: int, s: float) -> float:
@@ -190,7 +213,7 @@ def _log_value(formula: BoundFormula, n: int, d: int, s: float) -> float:
 def bound_value(formula: BoundFormula, n: int, d: int, s: float) -> float | None:
     """Evaluate a formula at (n, d, s); None when (n, d) is outside its range."""
     _validate_args(formula, n, d, s)
-    if not _is_valid(formula, n, d, s):
+    if not _is_valid(formula, n, d):
         return None
     return math.exp(_log_value(formula, n, d, s))
 
@@ -315,16 +338,6 @@ def report_record(report: VerificationReport) -> dict[str, object]:
 def write_trace_csv(path_or_file, d: int, s: float,
                     rows: Sequence[tuple[int, float]]) -> int:
     """CSV rows ``n,ratio,constant`` for a limit-ratio trace."""
-    from .combinatorics import _open_for_write
-
-    constant = asymptotic_constant(d, s)
-    handle, owned = _open_for_write(path_or_file)
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "ratio", "constant"])
-        for n, ratio in rows:
-            writer.writerow([str(n), repr(ratio), repr(constant)])
-        return len(rows)
-    finally:
-        if owned:
-            handle.close()
+    constant = repr(asymptotic_constant(d, s))
+    return _write_csv(path_or_file, ["n", "ratio", "constant"],
+                      ([str(n), repr(ratio), constant] for n, ratio in rows))

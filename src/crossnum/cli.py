@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -32,7 +31,7 @@ EXIT_ARGS = 2
 EXIT_CHECK = 3
 EXIT_RESOURCE = 4
 
-_SPECTRUM_KINDS = ("sharp", "plus", "star", "intm")
+_SPECTRUM_KINDS = spectra._FAMILIES
 
 
 def _positive_int(text: str) -> int:
@@ -225,17 +224,15 @@ def _default_grid(formula: bounds.BoundFormula, d: int, s: float,
     full integer range instead since their exact values are table lookups.
     """
     info = bounds.formula_info(formula)
+    first = info.first(d)
     if info.family != "sharp":
-        start = 27 ** d if info.side == "upper" else \
-            int(math.floor((12.0 * math.e ** 2) ** d)) + 1
-        if start > nmax:
+        if first > nmax:
             raise ValueError(
                 f"{formula.value} has no valid points below nmax = {nmax}")
-        return list(range(start, nmax + 1))
+        return list(range(first, nmax + 1))
     grid: set[int] = set()
-    cap: int | None = None
-    if formula in (bounds.BoundFormula.PRE_UPPER_46, bounds.BoundFormula.PRE_LOWER_47):
-        cap = (d * 4 ** d) // 2
+    cap = info.cap(d) if info.cap is not None else None
+    if cap is not None:
         rmax = min(rmax, 2 ** d)
     for r in range(1, rmax + 1):
         right = combinatorics.count_cross(r, d)
@@ -249,17 +246,7 @@ def _default_grid(formula: bounds.BoundFormula, d: int, s: float,
             elif n > cap:
                 continue
         grid.add(n)
-    # the first valid index of each range is a worst point too
-    if formula in (bounds.BoundFormula.SHARP_UPPER_43,):
-        grid.add(27 ** d)
-    if formula is bounds.BoundFormula.TENSOR_TRICK_45:
-        grid.add(15 ** d)
-    if formula in (bounds.BoundFormula.SHARP_LOWER_43,):
-        grid.add(int(math.floor((12.0 * math.e ** 2) ** d)) + 1)
-    if formula is bounds.BoundFormula.SHARP_LOWER_REMARK:
-        grid.add(144 ** d + 1)
-    if formula is bounds.BoundFormula.PRE_LOWER_47:
-        grid.add(2)
+    grid.add(first)  # the first valid index of each range is a worst point too
     top = combinatorics.count_cross(rmax, d)
     return sorted(n for n in grid if 1 <= n <= top)
 

@@ -31,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ResourceLimitError
 
@@ -62,6 +62,15 @@ def enumeration_guard(override: int | None = None) -> int:
             raise ValueError(f"{GUARD_ENV_VAR} must be positive, got {value}")
         return value
     return ENUM_GUARD_DEFAULT
+
+
+def _check_guard(requested: int, max_enum: int | None, what: str) -> None:
+    # The one place a request is held against the guard; ``what`` names
+    # the request, the message appends the limit.
+    limit = enumeration_guard(max_enum)
+    if requested > limit:
+        raise ResourceLimitError(f"{what}, guard is {limit}",
+                                 requested=requested, limit=limit)
 
 
 @dataclass(frozen=True)
@@ -144,13 +153,9 @@ def count_cross_bruteforce(r: int, d: int, *, max_enum: int | None = None) -> in
     work exceeds the enumeration guard.
     """
     spec = CrossSpec(int(r), int(d))
-    guard = enumeration_guard(max_enum)
     estimate = _count_estimate(spec.r, spec.d)
-    if estimate > guard:
-        raise ResourceLimitError(
-            f"brute-force count of N({spec.r},{spec.d}) could visit about "
-            f"{estimate} points, guard is {guard}",
-            requested=estimate, limit=guard)
+    _check_guard(estimate, max_enum, f"brute-force count of N({spec.r},{spec.d}) "
+                                     f"could visit about {estimate} points")
 
     def visit(budget: int, dims: int) -> int:
         if dims == 0:
@@ -243,21 +248,17 @@ def enumerate_dyadic_cross(m: int, d: int, *,
         raise ValueError(f"dimension must be a positive integer, got {d}")
     guard = enumeration_guard(max_enum)
     n_splits = math.comb(m + d - 1, d - 1)
-    if n_splits > guard:
-        raise ResourceLimitError(
-            f"dyadic cross H({m},{d}) has {n_splits} boxes, guard is {guard}",
-            requested=n_splits, limit=guard)
+    _check_guard(n_splits, guard, f"dyadic cross H({m},{d}) has {n_splits} boxes")
     estimate = 0
     for split in _compositions(m, d):
         box = 1
         for u in split:
             box *= (1 << (u + 1)) + 1
         estimate += box
-        if estimate > guard:
-            raise ResourceLimitError(
-                f"dyadic cross H({m},{d}) enumeration could touch about "
-                f"{estimate}+ points, guard is {guard}",
-                requested=estimate, limit=guard)
+        if estimate > guard:  # stop summing as soon as the answer is known
+            break
+    _check_guard(estimate, guard, f"dyadic cross H({m},{d}) enumeration could "
+                                  f"touch about {estimate}+ points")
     points: set[IndexVector] = set()
     for split in _compositions(m, d):
         axes = [range(-(1 << u), (1 << u) + 1) for u in split]
@@ -381,13 +382,9 @@ def count_generalized(seq: GeneralizedWeightSeq, eps, d: int, *,
     # small float headroom; the loop is the actual certificate
     while ceiling * (1.0 + 1e-9) >= eps_f * (radius + 1):
         radius *= 2
-    guard = enumeration_guard(max_enum)
     total = count_cross(radius, d)
-    if total > guard:
-        raise ResourceLimitError(
-            f"generalized count needs the {total} points of N({radius},{d}), "
-            f"guard is {guard}",
-            requested=total, limit=guard)
+    _check_guard(total, max_enum,
+                 f"generalized count needs the {total} points of N({radius},{d})")
     count = 0
     for k in enumerate_cross(radius, d):
         product = None
@@ -405,10 +402,20 @@ def count_record(r: int, d: int) -> dict[str, object]:
     return {"r": int(r), "d": int(d), "count": str(count_cross(r, d))}
 
 
-def _open_for_write(path_or_file: object) -> tuple[IO[str], bool]:
-    if hasattr(path_or_file, "write"):
-        return path_or_file, False  # type: ignore[return-value]
-    return open(os.fspath(path_or_file), "w", newline=""), True
+def _write_csv(path_or_file, header: list[str], rows: Iterable[list]) -> int:
+    # The package's one CSV writer: a path is opened (and closed) here, an
+    # open file is written in place.  Fixed header, bare newline line
+    # endings; returns the number of data rows.
+    if not hasattr(path_or_file, "write"):
+        with open(os.fspath(path_or_file), "w", newline="") as handle:
+            return _write_csv(handle, header, rows)
+    writer = csv.writer(path_or_file, lineterminator="\n")
+    writer.writerow(header)
+    count = 0
+    for row in rows:
+        writer.writerow(row)
+        count += 1
+    return count
 
 
 def write_points_csv(path_or_file, points, d: int) -> int:
@@ -417,31 +424,16 @@ def write_points_csv(path_or_file, points, d: int) -> int:
     Returns the number of rows written.  Output is byte-stable: fixed
     header, ``\\n`` line endings, plain decimal integers.
     """
-    handle, owned = _open_for_write(path_or_file)
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([f"k_{j}" for j in range(1, d + 1)] + ["product"])
-        rows = 0
-        for k in points:
-            product = 1
-            for kj in k:
-                product *= 1 + abs(kj)
-            writer.writerow(list(k) + [product])
-            rows += 1
-        return rows
-    finally:
-        if owned:
-            handle.close()
+    return _write_csv(path_or_file,
+                      [f"k_{j}" for j in range(1, d + 1)] + ["product"],
+                      (list(k) + [math.prod(1 + abs(kj) for kj in k)]
+                       for k in points))
 
 
 def write_cross_csv(path_or_file, r: int, d: int, *,
                     max_enum: int | None = None) -> int:
     """Export N(r, d) in enumeration order as CSV; returns the row count."""
     spec = CrossSpec(int(r), int(d))
-    guard = enumeration_guard(max_enum)
     total = count_cross(spec.r, spec.d)
-    if total > guard:
-        raise ResourceLimitError(
-            f"export of N({spec.r},{spec.d}) has {total} rows, guard is {guard}",
-            requested=total, limit=guard)
+    _check_guard(total, max_enum, f"export of N({spec.r},{spec.d}) has {total} rows")
     return write_points_csv(path_or_file, enumerate_cross(spec.r, spec.d), spec.d)

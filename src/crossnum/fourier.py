@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .combinatorics import (IndexVector, count_cross, enumerate_cross,
-                            enumeration_guard, write_points_csv)
-from .errors import ResourceLimitError
+from .combinatorics import (IndexVector, _check_guard, count_cross,
+                            enumerate_cross, volume_bounds, write_points_csv)
 from .spectra import ApproxNumber, exact_an_sharp
 
 
@@ -52,11 +51,7 @@ def optimal_truncation(n: int, d: int, s: float, *,
     step = exact_an_sharp(n, d, s)  # validates n, d, s
     r = step.r
     rank = count_cross(r - 1, d) if r > 1 else 0
-    guard = enumeration_guard(max_enum)
-    if rank > guard:
-        raise ResourceLimitError(
-            f"truncation operator keeps {rank} modes, guard is {guard}",
-            requested=rank, limit=guard)
+    _check_guard(rank, max_enum, f"truncation operator keeps {rank} modes")
     indices = tuple(enumerate_cross(r - 1, d)) if r > 1 else ()
     op = TruncationOperator(indices, rank, d, float(s), r)
     assert op.rank < n
@@ -101,12 +96,10 @@ class CoefficientModel:
 
 def _count_ceiling(x: float, d: int) -> float:
     # Continuous ceiling on the cross count at real radius x >= 1, from the
-    # volume upper bound f_l(x) = x (ln x)^{l-1} / (l-1)! per support size.
-    log_x = math.log(x)
+    # volume upper bound per support size, times supports and signs.
     total = 1.0
     for ell in range(1, d + 1):
-        total += (math.comb(d, ell) * 2.0 ** ell * x * log_x ** (ell - 1)
-                  / math.factorial(ell - 1))
+        total += math.comb(d, ell) * 2.0 ** ell * volume_bounds(x, ell)[1]
     return total
 
 
@@ -149,13 +142,9 @@ def truncation_error(model: CoefficientModel, op: TruncationOperator,
     if tail_radius < op.r:
         raise ValueError(
             f"tail radius {tail_radius} must reach the operator radius {op.r}")
-    guard = enumeration_guard(max_enum)
     total = count_cross(tail_radius, op.d)
-    if total > guard:
-        raise ResourceLimitError(
-            f"error accounting needs the {total} points of "
-            f"N({tail_radius},{op.d}), guard is {guard}",
-            requested=total, limit=guard)
+    _check_guard(total, max_enum, f"error accounting needs the {total} points "
+                                  f"of N({tail_radius},{op.d})")
     kept = frozenset(op.indices)
     terms: list[float] = []
     for k in enumerate_cross(tail_radius, op.d):

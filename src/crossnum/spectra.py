@@ -20,15 +20,15 @@ point outside the enumerated cross can enter the table.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from ._logs import log_int
-from .combinatorics import (IndexVector, _count_cross, count_cross,
-                            enumerate_cross, enumeration_guard)
-from .errors import ResourceLimitError, UnsupportedRegimeError
+from .combinatorics import (IndexVector, _check_guard, _count_cross,
+                            _write_csv, count_cross, enumerate_cross,
+                            enumeration_guard)
+from .errors import UnsupportedRegimeError
 
 _FAMILIES = ("sharp", "plus", "star", "intm")
 _REL_TOL = 1e-12
@@ -279,11 +279,8 @@ def rearranged_spectrum(kind: WeightKind, d: int, n_max: int, *,
         radius <<= max(0, math.ceil(math.log2(stretch)))
     while True:
         total = count_cross(radius, d)
-        if total > guard:
-            raise ResourceLimitError(
-                f"spectrum enumeration needs the {total} points of "
-                f"N({radius},{d}), guard is {guard}",
-                requested=total, limit=guard)
+        _check_guard(total, guard, f"spectrum enumeration needs the {total} "
+                                   f"points of N({radius},{d})")
         inverse = [1.0 / weight(kind, k) for k in enumerate_cross(radius, d)]
         inverse.sort(reverse=True)
         values = inverse[:n_max]
@@ -405,11 +402,7 @@ def verify_weight_domination(pair: tuple[WeightKind, WeightKind], d: int,
             f"no supported comparison {source.label()} -> {target.label()}")
 
     box = (2 * sample_radius + 1) ** d
-    guard = enumeration_guard(max_enum)
-    if box > guard:
-        raise ResourceLimitError(
-            f"domination check box has {box} points, guard is {guard}",
-            requested=box, limit=guard)
+    _check_guard(box, max_enum, f"domination check box has {box} points")
 
     checked = 0
     counterexample = None
@@ -453,19 +446,10 @@ def spectrum_record(table: SpectrumTable) -> dict[str, object]:
 
 def write_spectrum_csv(path_or_file, table: SpectrumTable) -> int:
     """CSV rows ``n,sigma[,r]`` in table order; returns the row count."""
-    from .combinatorics import _open_for_write  # shared writer plumbing
-
-    handle, owned = _open_for_write(path_or_file)
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        header = ["n", "sigma"] + (["r"] if table.bases is not None else [])
-        writer.writerow(header)
-        for i, value in enumerate(table.values, start=1):
-            row: list[object] = [i, repr(value)]
-            if table.bases is not None:
-                row.append(table.bases[i - 1])
-            writer.writerow(row)
-        return len(table.values)
-    finally:
-        if owned:
-            handle.close()
+    if table.bases is None:
+        return _write_csv(path_or_file, ["n", "sigma"],
+                          ([i, repr(value)]
+                           for i, value in enumerate(table.values, start=1)))
+    return _write_csv(path_or_file, ["n", "sigma", "r"],
+                      ([i, repr(value), r] for i, (value, r)
+                       in enumerate(zip(table.values, table.bases), start=1)))

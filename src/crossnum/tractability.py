@@ -16,13 +16,13 @@ eps is available as the default.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from ._logs import log_int
-from .combinatorics import count_cross
+from .combinatorics import _write_csv, count_cross
+from .errors import ResourceLimitError
 from .spectra import WeightKind, rearranged_spectrum
 
 _REL_TOL = 1e-12
@@ -31,7 +31,12 @@ _REL_TOL = 1e-12
 def _first_radius(eps: float, s: float) -> int:
     # least integer r with r^{-s} <= eps; ties within 1e-12 relative of an
     # integer boundary resolve toward inclusion (a_n <= eps)
-    x = float(eps) ** (-1.0 / s)
+    try:
+        x = float(eps) ** (-1.0 / s)
+    except OverflowError:
+        raise ResourceLimitError(
+            f"the radius eps^(-1/s) for eps = {eps}, s = {s} exceeds "
+            "double range") from None
     nearest = round(x)
     if nearest >= 1 and abs(x - nearest) <= _REL_TOL * x:
         return nearest
@@ -212,15 +217,5 @@ def certificate_record(cert: QptCertificate) -> dict[str, object]:
 def write_complexity_csv(path_or_file,
                          rows: Sequence[tuple[float, int, int]]) -> int:
     """CSV rows ``eps,d,n`` (n as a decimal string; it can be huge)."""
-    from .combinatorics import _open_for_write
-
-    handle, owned = _open_for_write(path_or_file)
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["eps", "d", "n"])
-        for eps, d, n in rows:
-            writer.writerow([repr(float(eps)), d, str(n)])
-        return len(rows)
-    finally:
-        if owned:
-            handle.close()
+    return _write_csv(path_or_file, ["eps", "d", "n"],
+                      ([repr(float(eps)), d, str(n)] for eps, d, n in rows))

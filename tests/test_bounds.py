@@ -73,6 +73,28 @@ def test_bound_value_validity_windows():
     assert bound_value(BoundFormula.PRE_UPPER_46, 10, 1, 1.0) is None  # d >= 2
     assert bound_value(BoundFormula.PRE_LOWER_47, 1, 3, 1.0) is None
     assert bound_value(BoundFormula.P_SQUARED, 1, 7, 0.5) is not None
+    assert formula_info(BoundFormula.SHARP_LOWER_43).first(2) == 7863
+    assert formula_info(BoundFormula.PRE_UPPER_46).cap(5) == cap
+    # every range ends where formula_info says, also far past double range
+    for formula in BoundFormula:
+        info = formula_info(formula)
+        if info.side == "constant":
+            continue
+        for d in (1, 2, 3, 8, 40, 160):
+            first = info.first(d)
+            if d < info.min_d:
+                edges = [first, first + 1] + ([info.cap(d)] if info.cap else [])
+                assert all(bound_value(formula, n, d, 1.0) is None for n in edges)
+                continue
+            if first > 1:
+                assert bound_value(formula, first - 1, d, 1.0) is None
+            assert bound_value(formula, first, d, 1.0) is not None
+            if info.cap is not None:
+                assert bound_value(formula, info.cap(d), d, 1.0) is not None
+                assert bound_value(formula, info.cap(d) + 1, d, 1.0) is None
+    for formula in (BoundFormula.PRE_UPPER_46, BoundFormula.PRE_LOWER_47):
+        # d = 1 is outside the preasymptotic range even below its cap of 2
+        assert all(bound_value(formula, n, 1, 1.0) is None for n in (1, 2, 3))
 
 
 def test_bound_value_argument_errors():

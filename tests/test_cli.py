@@ -168,6 +168,16 @@ def test_verify_missing_parameters(capsys):
     assert code == EXIT_ARGS and "requires --m" in err
 
 
+def test_verify_lower_start_past_double_range(capsys):
+    # (12 e^2)^160 overflows a double; the start of the range stays exact
+    code, _, err = run(capsys, "verify", "--formula", "plus-lower-49",
+                       "--d", "160", "--s", "1")
+    assert code == EXIT_ARGS and "no valid points below nmax" in err
+    code, out, _ = run(capsys, "verify", "--formula", "sharp-lower-43",
+                       "--d", "160", "--s", "1", "--rmax", "2")
+    assert code == EXIT_OK and '"skipped":2' in out
+
+
 # -- tract --------------------------------------------------------------------
 
 def test_tract_sharp_bytes(capsys):
@@ -235,6 +245,16 @@ def test_resource_exit_code(capsys):
     code, _, err = run(capsys, "cross", "--r", "100", "--d", "2",
                        "--max-enum", "10")
     assert code == EXIT_RESOURCE and "resource limit" in err
+
+
+def test_radius_beyond_double_range_is_resource_limit(capsys):
+    for argv in (("tract", "--kind", "sharp", "--d", "2", "--s", "0.1",
+                  "--eps", "1e-300"),
+                 ("verify", "--formula", "qpt", "--s", "0.1",
+                  "--eps-grid", "1e-300")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("crossnum: resource limit:") and err.count("\n") == 1
 
 
 def test_env_guard_honored(capsys, monkeypatch):

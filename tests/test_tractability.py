@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from crossnum import (ComplexityEnclosure, QptCertificate, WeightKind,
-                      count_cross, exact_an_sharp, info_complexity_bounds,
-                      info_complexity_sharp, qpt_certify, qpt_constants)
+from crossnum import (ComplexityEnclosure, QptCertificate, ResourceLimitError,
+                      WeightKind, count_cross, exact_an_sharp,
+                      info_complexity_bounds, info_complexity_sharp,
+                      qpt_certify, qpt_constants)
 from crossnum.spectra import rearranged_spectrum
 from crossnum.tractability import certificate_record, write_complexity_csv
 
@@ -63,6 +64,12 @@ def test_complexity_validation():
         info_complexity_sharp(0.5, 0, 1.0)
     with pytest.raises(ValueError):
         info_complexity_sharp(0.5, 2, -1.0)
+
+
+def test_complexity_radius_beyond_double_range_is_resource_limit():
+    # eps^(-1/s) = 1e3000 overflows a double: refused, not a traceback
+    with pytest.raises(ResourceLimitError):
+        info_complexity_sharp(1e-300, 2, 0.1)
 
 
 def test_complexity_huge_radius_is_exact_integer():
