@@ -327,7 +327,7 @@ def report_record(report: VerificationReport) -> dict[str, object]:
         "checked": report.checked,
         "skipped": report.skipped,
         "pass": report.passed,
-        "max_slack": report.max_slack,
+        "max_slack": report.max_slack if report.checked else None,  # no -inf
         "violations": [
             {"n": str(n), "exact": exact, "bound": bound}
             for n, exact, bound in report.violations

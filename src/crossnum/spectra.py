@@ -14,20 +14,21 @@ Variants (s > 0 real, m >= 1 integer; 0^0 = 1 throughout):
 
 The sharp spectrum is piecewise constant with exactly known breakpoints:
 a_n = r^{-s} precisely when C(r-1, d) < n <= C(r, d).  The other variants
-are computed by bounded enumeration with a stopping certificate that no
-point outside the enumerated cross can enter the table.
+come from a best-first walk over the non-negative orthant: every weight is
+symmetric and nondecreasing in each |k_j|, so a heap of the walk's frontier
+yields 1/w in non-increasing order, and the first n values are the table.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ._logs import log_int
 from .combinatorics import (IndexVector, _check_guard, _count_cross,
-                            _write_csv, count_cross, enumerate_cross,
-                            enumeration_guard)
+                            _write_csv, enumeration_guard)
 from .errors import UnsupportedRegimeError
 
 _FAMILIES = ("sharp", "plus", "star", "intm")
@@ -188,10 +189,10 @@ class SpectrumTable:
     """sigma_1 >= sigma_2 >= ... >= sigma_n for one weight kind.
 
     ``certification`` is "exact" for tables assembled from breakpoints and
-    "enumerated-certified" for tables produced by bounded enumeration with
-    the stopping certificate; ``radius`` records the certified enumeration
-    radius in the latter case.  ``bases`` carries the per-entry radius for
-    exact sharp tables.
+    "enumerated-certified" for tables produced by the best-first walk;
+    ``radius`` is then the largest prod(1 + |k_j|) among the vectors that
+    fill the table.  ``bases`` carries the per-entry radius for exact sharp
+    tables.
     """
 
     values: tuple[float, ...]
@@ -241,54 +242,47 @@ def sharp_table(d: int, s: float, n_max: int) -> SpectrumTable:
                          radius=None, bases=tuple(bases))
 
 
-def _domination(kind: WeightKind, d: int) -> tuple[float, float]:
-    # (c, s_eff) with 1/weight(kind, k) <= c * (prod (1 + |k_j|))^{-s_eff}:
-    # the coarse envelope that lets enumeration stop.  Per coordinate,
-    # (1+|l|)/2 <= (1+l^2)^{1/2}, ((1+|l|)/2)^{2s} <= 1+|l|^{2s} and
-    # ((1+|l|)/2)^{2m} <= v_m(l)^2.
-    if kind.family == "sharp":
-        return 1.0, kind.s
-    if kind.family == "plus":
-        return 2.0 ** (d * kind.s / 2.0), kind.s
-    if kind.family == "star":
-        return 2.0 ** (d * kind.s), kind.s
-    return 2.0 ** (d * kind.m), float(kind.m)
+def _best_first(kind: WeightKind, d: int, length: int, max_enum: int | None
+                ) -> Iterator[tuple[float, int, IndexVector]]:
+    # (1/weight, 2^nnz(k), k) over k in N_0^d with 1/weight non-increasing:
+    # weights are symmetric and nondecreasing in each |k_j|, in floats too,
+    # so no child k + e_j (j at or past the last nonzero coordinate of k)
+    # outranks its unique parent k.  The guard bounds length and frontier.
+    guard = enumeration_guard(max_enum)
+    _check_guard(length, guard, f"best-first walk for {length} values")
+    heap = [(-1.0, (0,) * d, 0)]  # (-1/weight, k, first j to increment)
+    while True:
+        key, k, first = heapq.heappop(heap)
+        yield -key, 1 << (d - k.count(0)), k
+        for j in range(first, d):
+            child = k[:j] + (k[j] + 1,) + k[j + 1:]
+            heapq.heappush(heap, (-1.0 / weight(kind, child), child, j))
+        if len(heap) > guard:
+            _check_guard(len(heap), guard, f"best-first frontier holds "
+                                           f"{len(heap)} vectors")
 
 
 def rearranged_spectrum(kind: WeightKind, d: int, n_max: int, *,
                         max_enum: int | None = None) -> SpectrumTable:
     """sigma_1..sigma_{n_max}: the n_max largest values of 1/weight over Z^d.
 
-    Enumerates N(R, d) for growing R and stops once
-    c * (R + 1)^{-s_eff} <= sigma_{n_max}: every point outside N(R, d) has
-    product > R, hence 1/weight below that ceiling, and the table is
-    certified complete.  Works for every family; for sharp it reproduces
+    The first n_max values of a best-first walk that yields 1/weight in
+    non-increasing order.  ``radius`` is the largest prod(1 + |k_j|) among
+    the vectors that fill the table, so every k with 1/weight(k) above
+    sigma_{n_max} lies in N(radius, d).  For sharp it reproduces
     :func:`sharp_table` and exists as a cross-check.
     """
     if n_max < 1:
         raise ValueError(f"table length must be positive, got {n_max}")
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    guard = enumeration_guard(max_enum)
-    c, s_eff = _domination(kind, d)
+    d = _dimension(d)
+    values: list[float] = []
     radius = 1
-    while count_cross(radius, d) < n_max:
-        radius <<= 1
-    if c > 1.0:
-        stretch = c ** (1.0 / s_eff)
-        radius <<= max(0, math.ceil(math.log2(stretch)))
-    while True:
-        total = count_cross(radius, d)
-        _check_guard(total, guard, f"spectrum enumeration needs the {total} "
-                                   f"points of N({radius},{d})")
-        inverse = [1.0 / weight(kind, k) for k in enumerate_cross(radius, d)]
-        inverse.sort(reverse=True)
-        values = inverse[:n_max]
-        ceiling = c * float(radius + 1) ** (-s_eff)
-        if ceiling <= values[-1]:
+    for value, copies, k in _best_first(kind, d, n_max, max_enum):
+        values.extend([value] * min(copies, n_max - len(values)))
+        radius = max(radius, math.prod(1 + kj for kj in k))
+        if len(values) == n_max:
             return SpectrumTable(tuple(values), kind, d,
                                  "enumerated-certified", radius=radius)
-        radius <<= 1
 
 
 @dataclass(frozen=True)

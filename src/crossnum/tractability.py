@@ -4,7 +4,7 @@ For the sharp weight the complexity n(eps, d) = min{n : a_n <= eps} is
 exact: with r* the least integer radius satisfying r*^{-s} <= eps, the
 answer is C(r* - 1, d) + 1.  The other weight families are enclosed
 between sharp complexities via norm-one comparisons, with an optional
-exact resolution by certified enumeration in low dimension.
+exact resolution by a best-first walk in low dimension.
 
 The quasi-polynomial certificate checks
 
@@ -23,7 +23,7 @@ from typing import Sequence
 from ._logs import log_int
 from .combinatorics import _write_csv, count_cross
 from .errors import ResourceLimitError
-from .spectra import WeightKind, rearranged_spectrum
+from .spectra import WeightKind, _best_first
 
 _REL_TOL = 1e-12
 
@@ -85,8 +85,9 @@ def info_complexity_bounds(kind: WeightKind, eps: float, d: int, *,
                 (the star and sharp weights coincide at s = 1/2)
     * intm(m):  [n_sharp(m),  n_sharp(1/2)]
 
-    With ``exact=True`` (supported for d <= 3) the value is resolved by a
-    certified enumerated spectrum and asserted to lie in the enclosure.
+    With ``exact=True`` (supported for d <= 3) the value is resolved by
+    walking 1/weight in non-increasing order up to the first value <= eps;
+    the walk never passes index ``upper``.
     """
     s = kind.s
     if kind.family == "sharp":
@@ -109,16 +110,14 @@ def info_complexity_bounds(kind: WeightKind, eps: float, d: int, *,
         return ComplexityEnclosure(lower, upper)
     if d > 3:
         raise ValueError("exact resolution is supported for d <= 3 only")
-    table = rearranged_spectrum(kind, d, upper, max_enum=max_enum)
-    lo, hi = 1, upper  # sigma_upper <= eps is guaranteed by the enclosure
-    while lo < hi:
-        mid = (lo + hi) // 2
-        # boundary ties resolve toward a_n <= eps, as in the sharp case
-        if table.sigma(mid) <= eps * (1.0 + _REL_TOL):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ComplexityEnclosure(lower, upper, lo)
+    walk = _best_first(kind, int(d), upper, max_enum)
+    n = 1  # sigma_upper <= eps by the enclosure; ties resolve toward a_n <= eps
+    while n < upper:
+        value, copies, _ = next(walk)
+        if value <= eps * (1.0 + _REL_TOL):
+            break
+        n += copies
+    return ComplexityEnclosure(lower, upper, min(n, upper))
 
 
 def qpt_constants(s: float) -> tuple[float, float]:

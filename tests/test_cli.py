@@ -108,6 +108,20 @@ def test_verify_single_formula_passes(capsys):
     assert payload["max_slack"] < 0.0
 
 
+
+def test_verify_nothing_checked_is_valid_json(capsys):
+    # every grid point lies below the formula's validity range
+    code, out, _ = run(capsys, "verify", "--formula", "sharp-lower-43",
+                       "--d", "2", "--s", "1", "--rmax", "5")
+    assert code == EXIT_OK
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["checked"] == 0 and payload["skipped"] > 0
+    assert payload["max_slack"] is None and '"max_slack":null' in out
+
 def test_verify_all_reports_every_pointwise_formula(capsys):
     code, out, _ = run(capsys, "verify", "--formula", "all", "--d", "2",
                        "--s", "1", "--rmax", "500", "--nmax", "10000")
@@ -256,6 +270,17 @@ def test_radius_beyond_double_range_is_resource_limit(capsys):
         assert code == EXIT_RESOURCE and out == ""
         assert err.startswith("crossnum: resource limit:") and err.count("\n") == 1
 
+
+
+def test_best_first_guard_refusals(capsys):
+    # the table length, or the enclosure's upper end, exceeds the guard
+    for argv in (("spectrum", "--kind", "plus", "--d", "2", "--s", "1",
+                  "--n", "5000", "--max-enum", "100"),
+                 ("tract", "--kind", "plus", "--d", "2", "--s", "1",
+                  "--eps", "0.01", "--exact", "--max-enum", "100")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("crossnum: resource limit:") and err.count("\n") == 1
 
 def test_env_guard_honored(capsys, monkeypatch):
     monkeypatch.setenv("CROSSNUM_MAX_ENUM", "10")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import pytest
 
 from crossnum import (ResourceLimitError, UnsupportedRegimeError, WeightKind,
                       breakpoints_sharp, count_cross, exact_an_sharp,
-                      rearranged_spectrum, sharp_table,
+                      info_complexity_bounds, rearranged_spectrum, sharp_table,
                       verify_weight_domination, weight)
 from crossnum.spectra import ApproxNumber, SpectrumTable
 
@@ -73,6 +74,28 @@ def test_weight_kind_validation():
     with pytest.raises(AttributeError):
         _ = WeightKind.plus(1).m
 
+
+
+_LEMMA_KINDS = ([WeightKind(family, s) for family in ("sharp", "plus", "star")
+                 for s in (0.1, 0.5, 1.0, 5.0)]
+                + [WeightKind.integer_m(m) for m in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("kind", _LEMMA_KINDS, ids=WeightKind.label)
+@pytest.mark.parametrize("d, box", [(1, 200), (2, 20), (3, 6)])
+def test_weight_monotone_and_sign_symmetric(kind, d, box):
+    # the lemma behind the best-first walk: raising any |k_j| by one never
+    # lowers the weight, compared in floats the way the walk compares
+    # (-1/weight), and a sign flip leaves the weight unchanged bit for bit
+    for k in itertools.product(range(-box, box + 1), repeat=d):
+        w = weight(kind, k)
+        assert w == weight(kind, tuple(abs(kj) for kj in k)), k
+        for j in range(d):
+            if k[j] < 0:
+                continue
+            up = k[:j] + (k[j] + 1,) + k[j + 1:]
+            w_up = weight(kind, up)
+            assert w_up >= w and -1.0 / w_up >= -1.0 / w, (k, j)
 
 # -- exact sharp spectrum ---------------------------------------------------
 
@@ -152,19 +175,52 @@ def test_rearranged_spectrum_plus_head(s):
     assert table.sigma(2 * d + 2) < 2.0 ** (-s / 2) * (1 - 1e-9)
 
 
+@functools.lru_cache(maxsize=None)
+def _box_values(kind, d, box):
+    # every 1/w over the box |k|_inf <= box, largest first, each paired
+    # with its prod(1 + |k_j|)
+    points = sorted(((1.0 / weight(kind, k), math.prod(1 + abs(kj) for kj in k))
+                     for k in itertools.product(range(-box, box + 1), repeat=d)),
+                    reverse=True)
+    return [value for value, _ in points], [product for _, product in points]
+
+
+def _outside_box(kind, d, box):
+    # weights are monotone in each |k_j| with every factor >= 1, so no point
+    # outside the box |k|_inf <= box has 1/w above this value
+    return 1.0 / weight(kind, (box + 1,) + (0,) * (d - 1))
+
+
+_BOX_CASES = ((2, 40, 50), (2, 40, 400), (3, 20, 300), (3, 20, 900))
+_BOX_KINDS = (WeightKind.plus(1.0), WeightKind.star(0.7), WeightKind.integer_m(2))
+
+
 def test_rearranged_spectrum_box_oracle():
     # independent oracle: collect 1/w over a box large enough to contain
     # every candidate, then compare the top slice value by value
-    n_max = 50
-    for kind in (WeightKind.plus(1.0), WeightKind.star(0.7),
-                 WeightKind.integer_m(2)):
-        table = rearranged_spectrum(kind, 2, n_max)
-        box = 40
-        values = sorted(
-            (1.0 / weight(kind, k)
-             for k in itertools.product(range(-box, box + 1), repeat=2)),
-            reverse=True)[:n_max]
-        assert list(table.values) == values, kind.label()
+    for d, box, n_max in _BOX_CASES:
+        for kind in _BOX_KINDS:
+            table = rearranged_spectrum(kind, d, n_max)
+            values, products = _box_values(kind, d, box)
+            assert _outside_box(kind, d, box) < values[n_max - 1]
+            assert list(table.values) == values[:n_max], (kind.label(), d, n_max)
+            # radius invariant: every box point above sigma_{n_max} lies in
+            # N(radius, d), and N(radius, d) holds n_max points
+            above = [p for v, p in zip(values, products) if v > table.values[-1]]
+            assert max(above, default=1) <= table.radius, (kind.label(), d)
+            assert count_cross(table.radius, d) >= n_max, (kind.label(), d)
+
+
+def test_exact_complexity_matches_box_oracle():
+    for d, box, _ in _BOX_CASES[1::2]:
+        for kind in _BOX_KINDS:
+            values, _ = _box_values(kind, d, box)
+            for eps in (0.4, 0.2, 0.12):
+                assert _outside_box(kind, d, box) <= eps
+                enc = info_complexity_bounds(kind, eps, d, exact=True)
+                first = next(n for n, value in enumerate(values, start=1)
+                             if value <= eps * (1.0 + 1e-12))
+                assert enc.exact == first, (kind.label(), d, eps)
 
 
 def test_rearranged_spectrum_monotone_and_certified():

@@ -130,6 +130,13 @@ def test_families_coincide_at_smoothness_one():
         assert len({(e.lower, e.upper, e.exact) for e in results}) == 1
 
 
+def test_exact_resolution_guard():
+    # the enclosure's upper end (334,578 values) exceeds the guard
+    with pytest.raises(ResourceLimitError):
+        info_complexity_bounds(WeightKind.plus(1.0), 0.01, 2, exact=True,
+                               max_enum=100)
+
+
 def test_exact_resolution_dimension_limit():
     with pytest.raises(ValueError):
         info_complexity_bounds(WeightKind.plus(1.0), 0.3, 4, exact=True)
