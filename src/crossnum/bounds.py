@@ -18,11 +18,10 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from ._logs import log_int
+from ._checks import REL_TOL as TOLERANCE
+from ._checks import integer, log_int, positive
 from .combinatorics import _write_csv, count_cross
 from .spectra import SpectrumTable, WeightKind, exact_an_sharp, rearranged_spectrum
-
-TOLERANCE = 1e-12
 
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
@@ -129,33 +128,24 @@ def formula_from_name(name: str) -> BoundFormula:
     raise ValueError(f"unknown formula {name!r}")
 
 
-def _validate_args(formula: BoundFormula, n: int, d: int, s: float) -> None:
-    if n < 1:
-        raise ValueError(f"index must be a positive integer, got {n}")
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    if not s > 0:
-        raise ValueError(f"smoothness must be positive, got {s}")
-    if _INFO[formula].family == "intm" and (s != int(s) or s < 1):
-        raise ValueError(f"integer-m bounds need an integer m >= 1, got {s}")
+def _validate_args(formula: BoundFormula, n: int, d: int,
+                   s: float) -> tuple[int, int, float]:
+    if _INFO[formula].family == "intm":
+        s = float(integer(s, "integer-m order m"))
+    return (integer(n, "index n"), integer(d, "dimension d"),
+            positive(s, "smoothness s"))
 
 
 def alpha_exponent(n: int, d: int) -> float:
     """The preasymptotic decay exponent alpha(n, d) = 2 + log2(d/log2(n) + 1/2)."""
-    if n < 2:
-        raise ValueError(f"index must be at least 2, got {n}")
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    n, d = integer(n, "index n", least=2), integer(d, "dimension d")
     log2_n = log_int(n) / _LN2
     return 2.0 + math.log2(d / log2_n + 0.5)
 
 
 def asymptotic_constant(d: int, s: float) -> float:
     """lim_n a_n * n^s / (ln n)^{(d-1)s} for the sharp weight: (2^d/(d-1)!)^s."""
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    if not s > 0:
-        raise ValueError(f"smoothness must be positive, got {s}")
+    d, s = integer(d, "dimension d"), positive(s, "smoothness s")
     return math.exp(s * (d * _LN2 - math.lgamma(d)))
 
 
@@ -212,7 +202,7 @@ def _log_value(formula: BoundFormula, n: int, d: int, s: float) -> float:
 
 def bound_value(formula: BoundFormula, n: int, d: int, s: float) -> float | None:
     """Evaluate a formula at (n, d, s); None when (n, d) is outside its range."""
-    _validate_args(formula, n, d, s)
+    n, d, s = _validate_args(formula, n, d, s)
     if not _is_valid(formula, n, d):
         return None
     return math.exp(_log_value(formula, n, d, s))
@@ -255,16 +245,16 @@ def verify_bound(formula: BoundFormula, d: int, s: float,
     info = _INFO[formula]
     if info.side == "constant":
         raise ValueError(f"{formula.value} is not a pointwise bound")
-    grid = sorted(set(int(n) for n in n_grid))
+    grid = sorted(set(integer(n, "grid index n") for n in n_grid))
     if not grid:
         raise ValueError("empty verification grid")
-    _validate_args(formula, grid[0], d, s)
+    _, d, s = _validate_args(formula, grid[0], d, s)
 
     if info.family == "sharp":
         exact_at: Callable[[int], float] = lambda n: exact_an_sharp(n, d, s).value()
     else:
         if spectrum is None:
-            kind = WeightKind(info.family, float(s))
+            kind = WeightKind(info.family, s)
             spectrum = rearranged_spectrum(kind, d, grid[-1], max_enum=max_enum)
         if spectrum.kind.family != info.family or spectrum.d != d \
                 or abs(spectrum.kind.s - s) > TOLERANCE * max(s, 1.0):
@@ -292,7 +282,7 @@ def verify_bound(formula: BoundFormula, d: int, s: float,
         max_slack = max(max_slack, slack)
         if slack > TOLERANCE:
             violations.append((n, exact, bound))
-    return VerificationReport(formula, d, float(s), checked, skipped,
+    return VerificationReport(formula, d, s, checked, skipped,
                               tuple(violations), max_slack)
 
 
@@ -303,14 +293,10 @@ def limit_ratio_trace(d: int, s: float,
     Evaluated in log space so the counts may exceed double precision; the
     trace approaches :func:`asymptotic_constant` from below as r grows.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    if not s > 0:
-        raise ValueError(f"smoothness must be positive, got {s}")
+    d, s = integer(d, "dimension d"), positive(s, "smoothness s")
+    radii = [integer(r, "trace radius r", least=2) for r in r_samples]
     rows: list[tuple[int, float]] = []
-    for r in r_samples:
-        if r < 2:
-            raise ValueError(f"trace radii must be >= 2, got {r}")
+    for r in radii:
         n = count_cross(r, d)
         ln_n = log_int(n)
         ratio = math.exp(s * (ln_n - math.log(r) - (d - 1) * math.log(ln_n)))

@@ -24,6 +24,7 @@ import sys
 from typing import Sequence
 
 from . import bounds, combinatorics, fourier, spectra, tractability
+from ._checks import integer
 from .errors import ResourceLimitError
 
 EXIT_OK = 0
@@ -35,17 +36,10 @@ _SPECTRUM_KINDS = spectra._FAMILIES
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+    try:
+        return integer(int(text), "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -85,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="approximation numbers")
     p_spec.add_argument("--kind", choices=_SPECTRUM_KINDS, required=True)
     p_spec.add_argument("--d", type=_positive_int, required=True)
-    p_spec.add_argument("--s", type=_positive_float)
+    p_spec.add_argument("--s", type=float)
     p_spec.add_argument("--m", type=_positive_int)
     group = p_spec.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=_positive_int, help="single index")
@@ -98,15 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
              if f is not bounds.BoundFormula.ASYMPTOTIC_CONSTANT]
     p_verify.add_argument("--formula", choices=names + ["qpt", "all"], required=True)
     p_verify.add_argument("--d", type=_positive_int)
-    p_verify.add_argument("--s", type=_positive_float)
+    p_verify.add_argument("--s", type=float)
     p_verify.add_argument("--m", type=_positive_int)
     p_verify.add_argument("--rmax", type=_positive_int, default=1000,
                           help="largest breakpoint radius for sharp-family grids")
     p_verify.add_argument("--nmax", type=_positive_int, default=10000,
                           help="largest index for enumerated-spectrum grids")
-    p_verify.add_argument("--t", type=_positive_float,
+    p_verify.add_argument("--t", type=float,
                           help="qpt exponent (default: derived uniform value)")
-    p_verify.add_argument("--Ct", dest="c_t", type=_positive_float,
+    p_verify.add_argument("--Ct", dest="c_t", type=float,
                           help="qpt constant (default: derived uniform value)")
     p_verify.add_argument("--d-grid", type=_int_list,
                           default=[2, 3, 4, 5, 6, 7, 8, 9, 10])
@@ -117,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tract = sub.add_parser("tract", help="information complexity n(eps, d)")
     p_tract.add_argument("--kind", choices=_SPECTRUM_KINDS, required=True)
     p_tract.add_argument("--d", type=_positive_int, required=True)
-    p_tract.add_argument("--s", type=_positive_float)
+    p_tract.add_argument("--s", type=float)
     p_tract.add_argument("--m", type=_positive_int)
     p_tract.add_argument("--eps", type=float, required=True)
     p_tract.add_argument("--exact", action="store_true",
@@ -131,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="limit-ratio trace at breakpoints")
     p_trace.add_argument("--d", type=_positive_int, required=True)
-    p_trace.add_argument("--s", type=_positive_float, required=True)
+    p_trace.add_argument("--s", type=float, required=True)
     p_trace.add_argument("--rs", type=_int_list, required=True,
                          help="comma-separated radii, each >= 2")
     add_common(p_trace)
@@ -281,9 +275,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.formula == "qpt":
         if args.s is None:
             raise ValueError("verify --formula qpt requires --s")
-        for eps in args.eps_grid:
-            if not 0.0 < eps < 1.0:
-                raise ValueError(f"eps grid values must lie in (0, 1), got {eps}")
         cert = tractability.qpt_certify(args.s, args.d_grid, args.eps_grid,
                                         t=args.t, c_t=args.c_t)
         _emit(_dump_json(_with_meta(tractability.certificate_record(cert), args)),
@@ -312,8 +303,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_tract(args: argparse.Namespace) -> int:
     kind = _resolve_kind(args)
-    if not 0.0 < args.eps < 1.0:
-        raise ValueError(f"--eps must lie in (0, 1), got {args.eps}")
     if kind.family == "sharp":
         n = tractability.info_complexity_sharp(args.eps, args.d, kind.s)
         payload: dict[str, object] = {"n": str(n)}

@@ -27,12 +27,14 @@ deterministic: points come out sorted by ``(prod_j (1 + |k_j|), k)``.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
+from ._checks import integer, positive
 from .errors import ResourceLimitError
 
 IndexVector = tuple[int, ...]
@@ -48,19 +50,14 @@ def enumeration_guard(override: int | None = None) -> int:
     environment variable, then the built-in default of 10^8.
     """
     if override is not None:
-        if override < 1:
-            raise ValueError(f"enumeration guard must be positive, got {override}")
-        return int(override)
+        return integer(override, "enumeration guard max_enum")
     raw = os.environ.get(GUARD_ENV_VAR)
     if raw:
         try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"{GUARD_ENV_VAR} must be an integer, got {raw!r}") from exc
-        if value < 1:
-            raise ValueError(f"{GUARD_ENV_VAR} must be positive, got {value}")
-        return value
+            raw = int(raw)
+        except ValueError:
+            pass  # refused below, by the same rule as the override
+        return integer(raw, GUARD_ENV_VAR)
     return ENUM_GUARD_DEFAULT
 
 
@@ -81,10 +78,8 @@ class CrossSpec:
     d: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or self.r < 1:
-            raise ValueError(f"radius must be a positive integer, got {self.r!r}")
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.d!r}")
+        object.__setattr__(self, "r", integer(self.r, "radius r"))
+        object.__setattr__(self, "d", integer(self.d, "dimension d"))
 
     def count(self) -> int:
         return _count_cross(self.r, self.d)
@@ -116,11 +111,8 @@ def _positive_count(r: int, ell: int) -> int:
 
 def count_positive(r: int, ell: int) -> int:
     """Exact A(r, ell) = #{k in N^ell, k_j >= 1 : prod (1 + k_j) <= r}."""
-    if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
-    if ell < 1:
-        raise ValueError(f"length must be a positive integer, got {ell}")
-    return _positive_count(int(r), int(ell))
+    return _positive_count(integer(r, "radius r", least=0),
+                           integer(ell, "length ell"))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -135,8 +127,7 @@ def _count_cross(r: int, d: int) -> int:
 
 def count_cross(r: int, d: int) -> int:
     """Exact C(r, d) = #N(r, d) via the support-and-signs identity."""
-    spec = CrossSpec(int(r), int(d))
-    return _count_cross(spec.r, spec.d)
+    return CrossSpec(r, d).count()
 
 
 def _count_estimate(r: int, d: int) -> int:
@@ -152,7 +143,7 @@ def count_cross_bruteforce(r: int, d: int, *, max_enum: int | None = None) -> in
     on the partial product.  Refuses to start if a coarse estimate of the
     work exceeds the enumeration guard.
     """
-    spec = CrossSpec(int(r), int(d))
+    spec = CrossSpec(r, d)
     estimate = _count_estimate(spec.r, spec.d)
     _check_guard(estimate, max_enum, f"brute-force count of N({spec.r},{spec.d}) "
                                      f"could visit about {estimate} points")
@@ -219,7 +210,7 @@ def enumerate_cross(r: int, d: int) -> Iterator[IndexVector]:
     exactly the optimal index sets of growing rank (ties broken by the
     lexicographic order on k).
     """
-    spec = CrossSpec(int(r), int(d))
+    spec = CrossSpec(r, d)
     for product in range(1, spec.r + 1):
         yield from _shell_points(product, spec.d)
 
@@ -242,10 +233,7 @@ def enumerate_dyadic_cross(m: int, d: int, *,
     sum m) of the boxes {k : |k_j| <= 2^{u_j}}.  The boxes overlap, so the
     guard is checked against the sum of box sizes before any box is built.
     """
-    if m < 0:
-        raise ValueError(f"level must be non-negative, got {m}")
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    m, d = integer(m, "level m", least=0), integer(d, "dimension d")
     guard = enumeration_guard(max_enum)
     n_splits = math.comb(m + d - 1, d - 1)
     _check_guard(n_splits, guard, f"dyadic cross H({m},{d}) has {n_splits} boxes")
@@ -261,19 +249,8 @@ def enumerate_dyadic_cross(m: int, d: int, *,
                                   f"touch about {estimate}+ points")
     points: set[IndexVector] = set()
     for split in _compositions(m, d):
-        axes = [range(-(1 << u), (1 << u) + 1) for u in split]
-        prefix: list[int] = []
-
-        def fill(axis: int) -> None:
-            if axis == len(axes):
-                points.add(tuple(prefix))
-                return
-            for k in axes[axis]:
-                prefix.append(k)
-                fill(axis + 1)
-                prefix.pop()
-
-        fill(0)
+        points.update(itertools.product(
+            *(range(-(1 << u), (1 << u) + 1) for u in split)))
     return points
 
 
@@ -289,8 +266,7 @@ def volume_exact(r: float, ell: int) -> float:
     Horner scheme in ln r.  The tests validate every recursion level
     against adaptive quadrature.
     """
-    if ell < 1:
-        raise ValueError(f"length must be a positive integer, got {ell}")
+    ell = integer(ell, "length ell")
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
     if r == 1:
@@ -310,8 +286,7 @@ def volume_bounds(r: float, ell: int) -> tuple[float, float]:
     With f_l(r) = r (ln r)^{l-1} / (l-1)!:  f_ell - f_{ell-1} <= v_ell <= f_ell
     (lower bound 0 for ell = 1).
     """
-    if ell < 1:
-        raise ValueError(f"length must be a positive integer, got {ell}")
+    ell = integer(ell, "length ell")
     if r < 1:
         raise ValueError(f"radius must be >= 1, got {r}")
     log_r = math.log(r)
@@ -347,8 +322,8 @@ class GeneralizedWeightSeq:
                 raise ValueError(f"sequence must be symmetric; b_{-probe} != b_{probe}")
             if not 0.0 < float(right) <= 1.0:
                 raise ValueError(f"need 0 < b_l <= 1, got b_{probe} = {right!r}")
-        if self.envelope is not None and not self.envelope > 0:
-            raise ValueError(f"envelope must be positive, got {self.envelope}")
+        if self.envelope is not None:
+            positive(self.envelope, "envelope")
 
     def resolved_envelope(self) -> float:
         if self.envelope is not None:
@@ -371,8 +346,7 @@ def count_generalized(seq: GeneralizedWeightSeq, eps, d: int, *,
     tie decisions.  The enumeration radius R is certified: outside N(R, d)
     the product is at most envelope^d / (R + 1) < eps.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    d = integer(d, "dimension d")
     eps_f = float(eps)
     if not 0.0 < eps_f <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {eps!r}")
@@ -433,7 +407,7 @@ def write_points_csv(path_or_file, points, d: int) -> int:
 def write_cross_csv(path_or_file, r: int, d: int, *,
                     max_enum: int | None = None) -> int:
     """Export N(r, d) in enumeration order as CSV; returns the row count."""
-    spec = CrossSpec(int(r), int(d))
+    spec = CrossSpec(r, d)
     total = count_cross(spec.r, spec.d)
     _check_guard(total, max_enum, f"export of N({spec.r},{spec.d}) has {total} rows")
     return write_points_csv(path_or_file, enumerate_cross(spec.r, spec.d), spec.d)

@@ -10,10 +10,12 @@ exactly enumerated part plus a certified tail.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
+from ._checks import integer, positive
 from .combinatorics import (IndexVector, _check_guard, count_cross,
                             enumerate_cross, volume_bounds, write_points_csv)
 from .spectra import ApproxNumber, exact_an_sharp
@@ -23,9 +25,10 @@ from .spectra import ApproxNumber, exact_an_sharp
 class TruncationOperator:
     """Projection onto the Fourier modes of a symmetric cross.
 
-    ``indices`` lists the kept modes in enumeration order; ``rank`` equals
-    ``len(indices)`` and is strictly below the n the operator was built
-    for, and every kept mode has product weight at most ``r - 1``.
+    ``indices`` is N(r - 1, d) in enumeration order, so it is the first
+    ``rank`` points of ``enumerate_cross(R, d)`` for every R >= r - 1;
+    ``rank`` equals ``len(indices)`` and is strictly below the n the
+    operator was built for.
     """
 
     indices: tuple[IndexVector, ...]
@@ -37,8 +40,7 @@ class TruncationOperator:
     def __post_init__(self) -> None:
         if self.rank != len(self.indices):
             raise ValueError("rank must equal the number of kept modes")
-        if self.r < 1:
-            raise ValueError(f"radius must be a positive integer, got {self.r}")
+        object.__setattr__(self, "r", integer(self.r, "radius r"))
 
 
 def optimal_truncation(n: int, d: int, s: float, *,
@@ -48,12 +50,13 @@ def optimal_truncation(n: int, d: int, s: float, *,
     Keeps the modes with product weight at most r - 1, where r is the
     breakpoint radius of a_n; the resulting rank C(r-1, d) is < n.
     """
-    step = exact_an_sharp(n, d, s)  # validates n, d, s
+    d = integer(d, "dimension d")
+    step = exact_an_sharp(n, d, s)  # validates n and s
     r = step.r
     rank = count_cross(r - 1, d) if r > 1 else 0
     _check_guard(rank, max_enum, f"truncation operator keeps {rank} modes")
     indices = tuple(enumerate_cross(r - 1, d)) if r > 1 else ()
-    op = TruncationOperator(indices, rank, d, float(s), r)
+    op = TruncationOperator(indices, rank, d, step.s, r)
     assert op.rank < n
     return op
 
@@ -87,8 +90,7 @@ class CoefficientModel:
     decay_rate: float
 
     def __post_init__(self) -> None:
-        if not self.decay_scale > 0:
-            raise ValueError(f"decay scale must be positive, got {self.decay_scale}")
+        positive(self.decay_scale, "decay scale")
         if not self.decay_rate > 0.5:
             raise ValueError(
                 f"decay rate must exceed 1/2 for a summable tail, got {self.decay_rate}")
@@ -139,19 +141,17 @@ def truncation_error(model: CoefficientModel, op: TruncationOperator,
     operator's own radius, so the enumerated part covers every excluded
     mode the operator is responsible for.
     """
+    tail_radius = integer(tail_radius, "tail radius")
     if tail_radius < op.r:
         raise ValueError(
             f"tail radius {tail_radius} must reach the operator radius {op.r}")
     total = count_cross(tail_radius, op.d)
     _check_guard(total, max_enum, f"error accounting needs the {total} points "
                                   f"of N({tail_radius},{op.d})")
-    kept = frozenset(op.indices)
-    terms: list[float] = []
-    for k in enumerate_cross(tail_radius, op.d):
-        if k in kept:
-            continue
-        terms.append(abs(model.evaluator(k)) ** 2)
-    residual = math.fsum(terms)  # deterministic: fixed order, exact accumulation
+    # the stream is sorted by product, so its first op.rank points are the
+    # kept modes N(r - 1, d); fsum rounds exactly, whatever the order
+    excluded = itertools.islice(enumerate_cross(tail_radius, op.d), op.rank, None)
+    residual = math.fsum(abs(model.evaluator(k)) ** 2 for k in excluded)
     tail = _tail_bound(model, op.d, tail_radius)
     return math.sqrt(residual), math.sqrt(residual + tail)
 

@@ -22,17 +22,17 @@ yields 1/w in non-increasing order, and the first n values are the table.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from ._logs import log_int
+from ._checks import REL_TOL, integer, log_int, positive
 from .combinatorics import (IndexVector, _check_guard, _count_cross,
                             _write_csv, enumeration_guard)
 from .errors import UnsupportedRegimeError
 
 _FAMILIES = ("sharp", "plus", "star", "intm")
-_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,27 +45,25 @@ class WeightKind:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown weight family {self.family!r}")
-        if not self.s > 0:
-            raise ValueError(f"smoothness must be positive, got {self.s}")
-        if self.family == "intm" and (self.s != int(self.s) or self.s < 1):
-            raise ValueError(
-                f"integer-m weights need an integer m >= 1, got {self.s}")
+        s = (float(integer(self.s, "integer-m order m")) if self.family == "intm"
+             else positive(self.s, "smoothness s"))
+        object.__setattr__(self, "s", s)
 
     @classmethod
     def sharp(cls, s: float) -> "WeightKind":
-        return cls("sharp", float(s))
+        return cls("sharp", s)
 
     @classmethod
     def plus(cls, s: float) -> "WeightKind":
-        return cls("plus", float(s))
+        return cls("plus", s)
 
     @classmethod
     def star(cls, s: float) -> "WeightKind":
-        return cls("star", float(s))
+        return cls("star", s)
 
     @classmethod
     def integer_m(cls, m: int) -> "WeightKind":
-        return cls("intm", float(m))
+        return cls("intm", m)
 
     @property
     def m(self) -> int:
@@ -80,33 +78,42 @@ class WeightKind:
 
 
 def weight(kind: WeightKind, k: Sequence[int]) -> float:
-    """w_kind(k).  Multiplicative over coordinates; equals 1 at k = 0."""
+    """w_kind(k).  Multiplicative over coordinates; equals 1 at k = 0.
+
+    A weight past double range is ``math.inf``, so its 1/w is 0.0.
+    """
     total = 1.0
-    if kind.family == "sharp":
-        # exact integer product first: every index vector on one shell then
-        # gets the bit-identical weight, which exact_an_sharp mirrors
-        product = 1
-        for kj in k:
-            product *= 1 + abs(kj)
-        if product.bit_length() * kind.s > 1000.0:
+    try:
+        if kind.family == "sharp":
+            # exact integer product first: every index vector on one shell
+            # then gets the bit-identical weight, which exact_an_sharp mirrors
+            product = 1
+            for kj in k:
+                product *= 1 + abs(kj)
+            if product.bit_length() * kind.s <= 1000.0:
+                try:
+                    return float(product) ** kind.s
+                except OverflowError:  # float(product) itself, for s < 1000/1024
+                    pass
             return math.exp(kind.s * log_int(product))
-        total = float(product) ** kind.s
-    elif kind.family == "plus":
-        for kj in k:
-            total *= float(1 + kj * kj) ** (kind.s / 2.0)
-    elif kind.family == "star":
-        for kj in k:
-            total *= math.sqrt(1.0 + float(abs(kj)) ** (2.0 * kind.s))
-    else:
-        m = kind.m
-        for kj in k:
-            base = kj * kj
-            acc = 1
-            power = 1
-            for _ in range(m):
-                power *= base
-                acc += power
-            total *= math.sqrt(acc)
+        if kind.family == "plus":
+            for kj in k:
+                total *= float(1 + kj * kj) ** (kind.s / 2.0)
+        elif kind.family == "star":
+            for kj in k:
+                total *= math.sqrt(1.0 + float(abs(kj)) ** (2.0 * kind.s))
+        else:
+            m = kind.m
+            for kj in k:
+                base = kj * kj
+                acc = 1
+                power = 1
+                for _ in range(m):
+                    power *= base
+                    acc += power
+                total *= math.sqrt(acc)
+    except OverflowError:  # every factor is >= 1, so the product overflows too
+        return math.inf
     return total
 
 
@@ -118,16 +125,20 @@ class ApproxNumber:
     s: float
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"radius must be a positive integer, got {self.r}")
-        if not self.s > 0:
-            raise ValueError(f"smoothness must be positive, got {self.s}")
+        # the common case is tested inline: staircase lookups build one per call
+        if not (type(self.r) is int and self.r >= 1):
+            object.__setattr__(self, "r", integer(self.r, "radius r"))
+        if not (type(self.s) is float and 0.0 < self.s < math.inf):
+            object.__setattr__(self, "s", positive(self.s, "smoothness s"))
 
     def value(self) -> float:
         # mirror the enumeration arithmetic (1 / float(p) ** s) bit for bit
         # while r^s stays inside double range; log space beyond that
         if self.r.bit_length() * self.s <= 1000.0:
-            return 1.0 / float(self.r) ** self.s
+            try:
+                return 1.0 / float(self.r) ** self.s
+            except OverflowError:  # float(r) itself, for s < 1000/1024
+                pass
         return math.exp(-self.s * log_int(self.r))
 
 
@@ -140,21 +151,11 @@ class Breakpoint:
     value: ApproxNumber
 
 
-def _dimension(d: int) -> int:
-    # validate and coerce d once, as count_cross does on every call, so the
-    # staircase can probe the check-free _count_cross
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    return int(d)
-
-
 def breakpoints_sharp(d: int, s: float, r_max: int) -> list[Breakpoint]:
     """The sharp staircase for radii 1..r_max, with exact cumulative counts."""
-    if r_max < 1:
-        raise ValueError(f"r_max must be a positive integer, got {r_max}")
-    d = _dimension(d)
-    return [Breakpoint(r, _count_cross(r, d), ApproxNumber(r, float(s)))
-            for r in range(1, r_max + 1)]
+    d, s = integer(d, "dimension d"), positive(s, "smoothness s")
+    return [Breakpoint(r, _count_cross(r, d), ApproxNumber(r, s))
+            for r in range(1, integer(r_max, "r_max") + 1)]
 
 
 def exact_an_sharp(n: int, d: int, s: float) -> ApproxNumber:
@@ -166,11 +167,11 @@ def exact_an_sharp(n: int, d: int, s: float) -> ApproxNumber:
     the probes skip the checks of :func:`count_cross`, and counts repeated
     across neighbouring n are served from a bounded memo of C(r, d).
     """
-    if n < 1:
-        raise ValueError(f"index must be a positive integer, got {n}")
-    d = _dimension(d)
-    if not s > 0:
-        raise ValueError(f"smoothness must be positive, got {s}")
+    # the common case is tested inline; the rules coerce or refuse the rest
+    if not (type(n) is type(d) is int and n >= 1 and d >= 1):
+        n, d = integer(n, "index n"), integer(d, "dimension d")
+    if not (type(s) is float and 0.0 < s < math.inf):
+        s = positive(s, "smoothness s")
     hi = 1
     while _count_cross(hi, d) < n:
         hi <<= 1
@@ -181,7 +182,7 @@ def exact_an_sharp(n: int, d: int, s: float) -> ApproxNumber:
             lo = mid
         else:
             hi = mid
-    return ApproxNumber(hi, float(s))
+    return ApproxNumber(hi, s)
 
 
 @dataclass(frozen=True)
@@ -223,9 +224,8 @@ class SpectrumTable:
 
 def sharp_table(d: int, s: float, n_max: int) -> SpectrumTable:
     """Exact sharp spectrum sigma_1..sigma_{n_max} from the breakpoint staircase."""
-    if n_max < 1:
-        raise ValueError(f"table length must be positive, got {n_max}")
-    d = _dimension(d)
+    n_max, d = integer(n_max, "table length n_max"), integer(d, "dimension d")
+    s = positive(s, "smoothness s")
     top = exact_an_sharp(n_max, d, s)
     values: list[float] = []
     bases: list[int] = []
@@ -234,7 +234,7 @@ def sharp_table(d: int, s: float, n_max: int) -> SpectrumTable:
         width = min(_count_cross(r, d), n_max) - filled
         if width <= 0:
             continue
-        entry = ApproxNumber(r, float(s)).value()
+        entry = ApproxNumber(r, s).value()
         values.extend([entry] * width)
         bases.extend([r] * width)
         filled += width
@@ -272,9 +272,7 @@ def rearranged_spectrum(kind: WeightKind, d: int, n_max: int, *,
     sigma_{n_max} lies in N(radius, d).  For sharp it reproduces
     :func:`sharp_table` and exists as a cross-check.
     """
-    if n_max < 1:
-        raise ValueError(f"table length must be positive, got {n_max}")
-    d = _dimension(d)
+    n_max, d = integer(n_max, "table length n_max"), integer(d, "dimension d")
     values: list[float] = []
     radius = 1
     for value, copies, k in _best_first(kind, d, n_max, max_enum):
@@ -301,9 +299,9 @@ class DominationReport:
 
 # weight orderings within one smoothness value: earlier = larger weight
 _SAME_S_ORDERS = (
-    ("high", lambda s: s >= 1.0 - _REL_TOL, ("sharp", "plus", "star")),
-    ("mid", lambda s: 0.5 - _REL_TOL <= s <= 1.0 + _REL_TOL, ("sharp", "star", "plus")),
-    ("low", lambda s: s <= 0.5 + _REL_TOL, ("star", "sharp", "plus")),
+    ("high", lambda s: s >= 1.0 - REL_TOL, ("sharp", "plus", "star")),
+    ("mid", lambda s: 0.5 - REL_TOL <= s <= 1.0 + REL_TOL, ("sharp", "star", "plus")),
+    ("low", lambda s: s <= 0.5 + REL_TOL, ("star", "sharp", "plus")),
 )
 
 
@@ -347,16 +345,14 @@ def verify_weight_domination(pair: tuple[WeightKind, WeightKind], d: int,
     Anything else raises :class:`UnsupportedRegimeError`.
     """
     source, target = pair
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    if sample_radius < 1:
-        raise ValueError(f"sample radius must be positive, got {sample_radius}")
+    d = integer(d, "dimension d")
+    sample_radius = integer(sample_radius, "sample radius")
     s, t = source.s, target.s
-    same_s = abs(s - t) <= _REL_TOL * max(s, t)
+    same_s = abs(s - t) <= REL_TOL * max(s, t)
     factor = 1.0
     regime = None
     if source.family == target.family:
-        if s + _REL_TOL * max(s, t) >= t:
+        if s + REL_TOL * max(s, t) >= t:
             regime = "same-family-monotone"
         else:
             raise UnsupportedRegimeError(
@@ -389,7 +385,7 @@ def verify_weight_domination(pair: tuple[WeightKind, WeightKind], d: int,
                 f"{source.label()} -> {target.label()} is outside the proven "
                 f"orderings at s = {s:g}")
     elif (source.family, target.family) == ("plus", "sharp") and \
-            abs(t - s / 2.0) <= _REL_TOL * s:
+            abs(t - s / 2.0) <= REL_TOL * s:
         regime = "plus-to-half-sharp"
     else:
         raise UnsupportedRegimeError(
@@ -400,29 +396,14 @@ def verify_weight_domination(pair: tuple[WeightKind, WeightKind], d: int,
 
     checked = 0
     counterexample = None
-    ranges = [range(-sample_radius, sample_radius + 1)] * d
-    prefix: list[int] = []
-
-    def scan(axis: int) -> bool:
-        nonlocal checked, counterexample
-        if axis == d:
-            k = tuple(prefix)
-            checked += 1
-            if weight(target, k) > factor * weight(source, k) * (1.0 + _REL_TOL):
-                counterexample = k
-                return False
-            return True
-        for kj in ranges[axis]:
-            prefix.append(kj)
-            ok = scan(axis + 1)
-            prefix.pop()
-            if not ok:
-                return False
-        return True
-
-    passed = scan(0)
-    return DominationReport(source, target, d, regime, passed, checked,
-                            counterexample, factor)
+    side = range(-sample_radius, sample_radius + 1)
+    for k in itertools.product(side, repeat=d):  # lexicographic order
+        checked += 1
+        if weight(target, k) > factor * weight(source, k) * (1.0 + REL_TOL):
+            counterexample = k
+            break
+    return DominationReport(source, target, d, regime, counterexample is None,
+                            checked, counterexample, factor)
 
 
 def spectrum_record(table: SpectrumTable) -> dict[str, object]:

@@ -20,12 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._logs import log_int
+from ._checks import REL_TOL, integer, log_int, positive, unit_interval
 from .combinatorics import _write_csv, count_cross
 from .errors import ResourceLimitError
 from .spectra import WeightKind, _best_first
-
-_REL_TOL = 1e-12
 
 
 def _first_radius(eps: float, s: float) -> int:
@@ -33,24 +31,20 @@ def _first_radius(eps: float, s: float) -> int:
     # integer boundary resolve toward inclusion (a_n <= eps)
     try:
         x = float(eps) ** (-1.0 / s)
+        nearest = round(x)  # x is inf when 1/s itself overflows
     except OverflowError:
         raise ResourceLimitError(
             f"the radius eps^(-1/s) for eps = {eps}, s = {s} exceeds "
             "double range") from None
-    nearest = round(x)
-    if nearest >= 1 and abs(x - nearest) <= _REL_TOL * x:
+    if nearest >= 1 and abs(x - nearest) <= REL_TOL * x:
         return nearest
     return math.ceil(x)
 
 
 def info_complexity_sharp(eps: float, d: int, s: float) -> int:
     """Exact n(eps, d) = min{n : a_n <= eps} for the sharp weight."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {eps}")
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    if not s > 0:
-        raise ValueError(f"smoothness must be positive, got {s}")
+    eps = unit_interval(eps, "tolerance eps")
+    d, s = integer(d, "dimension d"), positive(s, "smoothness s")
     r_star = _first_radius(eps, s)
     if r_star <= 1:
         return 1
@@ -89,6 +83,7 @@ def info_complexity_bounds(kind: WeightKind, eps: float, d: int, *,
     walking 1/weight in non-increasing order up to the first value <= eps;
     the walk never passes index ``upper``.
     """
+    eps, d = unit_interval(eps, "tolerance eps"), integer(d, "dimension d")
     s = kind.s
     if kind.family == "sharp":
         n = info_complexity_sharp(eps, d, s)
@@ -110,11 +105,11 @@ def info_complexity_bounds(kind: WeightKind, eps: float, d: int, *,
         return ComplexityEnclosure(lower, upper)
     if d > 3:
         raise ValueError("exact resolution is supported for d <= 3 only")
-    walk = _best_first(kind, int(d), upper, max_enum)
+    walk = _best_first(kind, d, upper, max_enum)
     n = 1  # sigma_upper <= eps by the enclosure; ties resolve toward a_n <= eps
     while n < upper:
         value, copies, _ = next(walk)
-        if value <= eps * (1.0 + _REL_TOL):
+        if value <= eps * (1.0 + REL_TOL):
             break
         n += copies
     return ComplexityEnclosure(lower, upper, min(n, upper))
@@ -129,9 +124,7 @@ def qpt_constants(s: float) -> tuple[float, float]:
     larger eps the complexity is at most 2 <= e^2.  Coarse but valid for
     every d >= 1 and 0 < eps < 1: t = 8/s, C_t = e^2.
     """
-    if not s > 0:
-        raise ValueError(f"smoothness must be positive, got {s}")
-    return 8.0 / s, math.exp(2.0)
+    return 8.0 / positive(s, "smoothness s"), math.exp(2.0)
 
 
 @dataclass(frozen=True)
@@ -163,13 +156,13 @@ def qpt_certify(s: float, d_grid: Sequence[int], eps_grid: Sequence[float],
     Defaults to the proof-derived uniform pair from :func:`qpt_constants`.
     Comparisons run in log space on the exact complexities, so passing is
     meaningful even when n overflows double precision.
+    The whole grid is validated before anything is counted.
     """
-    if t is None or c_t is None:
-        t_default, c_default = qpt_constants(s)
-        t = t_default if t is None else t
-        c_t = c_default if c_t is None else c_t
-    if not t > 0 or not c_t > 0:
-        raise ValueError("certificate constants must be positive")
+    t_default, c_default = qpt_constants(s)
+    t = t_default if t is None else positive(t, "exponent t")
+    c_t = c_default if c_t is None else positive(c_t, "constant C_t")
+    d_grid = [integer(d, "dimension d") for d in d_grid]
+    eps_grid = [unit_interval(eps, "tolerance eps") for eps in eps_grid]
     if not d_grid or not eps_grid:
         raise ValueError("certificate grid must be non-empty")
     ln_ct = math.log(c_t)
@@ -179,21 +172,19 @@ def qpt_certify(s: float, d_grid: Sequence[int], eps_grid: Sequence[float],
     worst: tuple[float, int] | None = None
     slack = -math.inf
     for d in d_grid:
-        if d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {d}")
         for eps in eps_grid:
             n = info_complexity_sharp(eps, d, s)
             scale = math.log(1.0 / eps) * (1.0 + math.log(d))
             margin = log_int(n) - ln_ct - t * scale
-            grid.append((float(eps), d))
+            grid.append((eps, d))
             per_point_t.append(max(0.0, (log_int(n) - ln_ct) / scale))
             if margin > slack:
                 slack = margin
-                worst = (float(eps), d)
+                worst = (eps, d)
             if margin > 0.0:
-                violations.append((float(eps), d))
+                violations.append((eps, d))
     assert worst is not None
-    return QptCertificate(float(s), float(t), float(c_t), tuple(grid),
+    return QptCertificate(float(s), t, c_t, tuple(grid),
                           not violations, tuple(violations), worst, slack,
                           tuple(per_point_t))
 

@@ -6,6 +6,7 @@ import pytest
 from crossnum import (BoundFormula, alpha_exponent, asymptotic_constant,
                       bound_value, count_cross, exact_an_sharp, formula_info,
                       limit_ratio_trace, rearranged_spectrum, verify_bound)
+from crossnum._checks import REL_TOL
 from crossnum.bounds import (TOLERANCE, formula_from_name, report_record,
                              write_trace_csv)
 from crossnum.spectra import WeightKind
@@ -333,3 +334,7 @@ def test_report_record_and_trace_csv():
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "n,ratio,constant"
     assert lines[1].startswith("1529,") and lines[1].endswith(",4.0")
+
+
+def test_one_relative_tolerance():
+    assert TOLERANCE is REL_TOL == 1e-12

@@ -253,6 +253,47 @@ def test_trace_rejects_radius_one(capsys):
     assert code == EXIT_ARGS and err.startswith("crossnum:")
 
 
+# -- argument rules -------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--kind", "sharp", "--d", "2", "--n", "5"),
+    ("spectrum", "--kind", "sharp", "--d", "2", "--nmax", "3"),
+    ("spectrum", "--kind", "plus", "--d", "2", "--n", "5"),
+    ("tract", "--kind", "sharp", "--d", "2", "--eps", "0.5"),
+    ("tract", "--kind", "plus", "--d", "2", "--eps", "0.5", "--exact"),
+    ("verify", "--formula", "p-squared", "--d", "2", "--rmax", "5"),
+    ("verify", "--formula", "qpt", "--d-grid", "2"),
+    ("trace", "--d", "2", "--rs", "5,10"),
+])
+@pytest.mark.parametrize("s", ["inf", "nan", "-inf", "1e400"])
+def test_non_finite_smoothness_is_argument_error(capsys, argv, s):
+    code, out, err = run(capsys, *argv, f"--s={s}")
+    assert code == EXIT_ARGS and out == ""
+    assert err.startswith("crossnum:") and err.count("\n") == 1
+
+
+def test_bad_qpt_constants_are_one_line_refusals(capsys):
+    for flag, value in (("--t", "inf"), ("--t", "-1"), ("--Ct", "nan"), ("--Ct", "0")):
+        code, out, err = run(capsys, "verify", "--formula", "qpt", "--s", "1",
+                             "--d-grid", "2", f"{flag}={value}")
+        assert code == EXIT_ARGS and out == ""
+        assert err.startswith("crossnum:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--kind", "plus", "--d", "1", "--s", "200", "--n", "100"),
+    ("spectrum", "--kind", "star", "--d", "1", "--s", "200", "--n", "100"),
+    ("spectrum", "--kind", "intm", "--d", "1", "--m", "200", "--n", "100"),
+    ("spectrum", "--kind", "plus", "--d", "1", "--s", "1e300", "--n", "5"),
+    ("spectrum", "--kind", "sharp", "--d", "1", "--s", "0.5", "--n", str(2 ** 1100)),
+])
+def test_values_past_double_range_are_answers(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    value = json.loads(out)["a_n"]
+    assert math.isfinite(value) and value >= 0.0
+
+
 # -- guard plumbing and failure hygiene ----------------------------------------
 
 def test_resource_exit_code(capsys):
@@ -265,7 +306,11 @@ def test_radius_beyond_double_range_is_resource_limit(capsys):
     for argv in (("tract", "--kind", "sharp", "--d", "2", "--s", "0.1",
                   "--eps", "1e-300"),
                  ("verify", "--formula", "qpt", "--s", "0.1",
-                  "--eps-grid", "1e-300")):
+                  "--eps-grid", "1e-300"),
+                 ("tract", "--kind", "sharp", "--d", "2", "--s", "5e-324",
+                  "--eps", "0.5"),
+                 ("verify", "--formula", "qpt", "--s", "5e-324",
+                  "--d-grid", "2", "--eps-grid", "0.5")):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_RESOURCE and out == ""
         assert err.startswith("crossnum: resource limit:") and err.count("\n") == 1

@@ -8,7 +8,7 @@ from crossnum import (CoefficientModel, ResourceLimitError, count_cross,
                       enumerate_cross, error_report, exact_an_sharp,
                       optimal_truncation, truncation_error,
                       worst_case_witness)
-from crossnum.fourier import TruncationOperator, write_index_csv
+from crossnum.fourier import TruncationOperator, _tail_bound, write_index_csv
 
 
 def product_weight(k):
@@ -168,3 +168,20 @@ def test_write_index_csv_layout():
     buffer = io.StringIO()
     assert write_index_csv(buffer, op) == 1
     assert buffer.getvalue() == "k_1,k_2,product\n0,0,1\n"
+
+
+@pytest.mark.parametrize("n,d,factor", [(30, 2, 3), (400, 2, 2), (60, 3, 3),
+                                        (500, 3, 2), (100, 4, 2), (700, 4, 1)])
+def test_truncation_error_matches_set_reference(n, d, factor):
+    # the kept modes are the first op.rank points of the enumeration; a
+    # reference that skips them by set membership gives the same bits
+    op = optimal_truncation(n, d, 1.0)
+    assert op.r > 1 and op.indices == tuple(enumerate_cross(op.r - 1, d))
+    model = saturating_model(0.9)
+    tail_radius = op.r * factor
+    kept = frozenset(op.indices)
+    residual = math.fsum(abs(model.evaluator(k)) ** 2
+                         for k in enumerate_cross(tail_radius, d) if k not in kept)
+    tail = _tail_bound(model, d, tail_radius)
+    assert truncation_error(model, op, tail_radius) == \
+        (math.sqrt(residual), math.sqrt(residual + tail))

@@ -4,10 +4,16 @@ import math
 
 import pytest
 
-from crossnum import (ResourceLimitError, UnsupportedRegimeError, WeightKind,
-                      breakpoints_sharp, count_cross, exact_an_sharp,
-                      info_complexity_bounds, rearranged_spectrum, sharp_table,
-                      verify_weight_domination, weight)
+from crossnum import (BoundFormula, CrossSpec, ResourceLimitError,
+                      UnsupportedRegimeError, WeightKind, alpha_exponent,
+                      asymptotic_constant, bound_value, breakpoints_sharp,
+                      count_cross, count_cross_bruteforce, count_positive,
+                      enumerate_cross, enumerate_dyadic_cross, exact_an_sharp,
+                      info_complexity_bounds, info_complexity_sharp,
+                      limit_ratio_trace, optimal_truncation, qpt_certify,
+                      qpt_constants, rearranged_spectrum, sharp_table,
+                      tractability, verify_weight_domination, volume_exact,
+                      weight)
 from crossnum.spectra import ApproxNumber, SpectrumTable
 
 
@@ -342,3 +348,155 @@ def test_domination_counts_all_points():
     report = verify_weight_domination(
         (WeightKind.sharp(1.0), WeightKind.plus(1.0)), 2, 3)
     assert report.checked == 7 ** 2
+
+
+def test_domination_failure_order_is_lexicographic():
+    # s just below 1 still selects the high ordering (within 1e-12), where
+    # plus(s) -> star(s) fails by a hair; checked and counterexample are
+    # those of the lexicographic scan over the box
+    s = 1.0 - 1e-12
+    report = verify_weight_domination(
+        (WeightKind.plus(s), WeightKind.star(s)), 3, 3)
+    assert report.regime == "equal-smoothness-high"
+    assert not report.passed
+    assert report.checked == 115 and report.counterexample == (-1, -1, -1)
+    s = 1.0 - 0.9e-12
+    report = verify_weight_domination(
+        (WeightKind.plus(s), WeightKind.star(s)), 4, 3)
+    assert not report.passed
+    assert report.checked == 115 and report.counterexample == (-3, -1, -1, -1)
+
+
+# -- values past double range -------------------------------------------------
+
+def test_weight_past_double_range_is_infinite():
+    assert weight(WeightKind.plus(200.0), (50,)) == math.inf
+    assert weight(WeightKind.star(200.0), (50,)) == math.inf
+    assert weight(WeightKind.integer_m(200), (6,)) == math.inf
+    assert weight(WeightKind.plus(1e300), (1,)) == math.inf
+    assert weight(WeightKind.sharp(200.0), (100,)) == math.inf
+    # below the overflow the factors are untouched
+    assert weight(WeightKind.plus(200.0), (1,)) == 2.0 ** 100
+    # a product past double range with s < 1000/1024 has a finite weight
+    huge = weight(WeightKind.sharp(0.5), (2 ** 1100 - 1,))
+    assert huge == pytest.approx(2.0 ** 550, rel=1e-12)
+
+
+def test_sharp_values_where_float_radius_overflows():
+    # float(r) overflows from 2^1024 - 2^970 on; below that the value is
+    # still the enumeration arithmetic 1 / float(r) ** s, bit for bit
+    below = 2 ** 1024 - 2 ** 971
+    assert ApproxNumber(below, 0.5).value() == 1.0 / float(below) ** 0.5
+    assert weight(WeightKind.sharp(0.5), (below - 1,)) == float(below) ** 0.5
+    for r in (2 ** 1024 - 1, 2 ** 1024, 2 ** 1100):
+        value = ApproxNumber(r, 0.5).value()
+        assert math.isclose(value, 2.0 ** (-0.5 * math.log2(r)), rel_tol=1e-12)
+        assert weight(WeightKind.sharp(0.5), (r - 1,)) == \
+            pytest.approx(1.0 / value, rel=1e-12)
+    step = exact_an_sharp(2 ** 1100, 1, 0.5)
+    assert step.r == 2 ** 1099 + 1
+    assert 0.0 < step.value() < 1e-160
+
+
+@pytest.mark.parametrize("kind", [WeightKind.plus(200.0), WeightKind.star(200.0),
+                                  WeightKind.integer_m(200), WeightKind.sharp(200.0),
+                                  WeightKind.plus(1e300)])
+def test_walk_past_double_range_stays_ordered(kind):
+    table = rearranged_spectrum(kind, 1, 100)
+    assert table.values[0] == 1.0 and table.values[-1] == 0.0
+    assert all(math.isfinite(v) for v in table.values)
+
+
+# -- argument rules -----------------------------------------------------------
+
+def _s_entries():
+    return {
+        "WeightKind.sharp": lambda s: WeightKind.sharp(s),
+        "WeightKind plus": lambda s: WeightKind("plus", s),
+        "WeightKind.star": lambda s: WeightKind.star(s),
+        "ApproxNumber": lambda s: ApproxNumber(3, s),
+        "exact_an_sharp": lambda s: exact_an_sharp(5, 2, s),
+        "sharp_table": lambda s: sharp_table(2, s, 5),
+        "breakpoints_sharp": lambda s: breakpoints_sharp(2, s, 3),
+        "bound_value": lambda s: bound_value(BoundFormula.P_SQUARED, 5, 2, s),
+        "asymptotic_constant": lambda s: asymptotic_constant(2, s),
+        "limit_ratio_trace": lambda s: limit_ratio_trace(2, s, [5]),
+        "info_complexity_sharp": lambda s: info_complexity_sharp(0.5, 2, s),
+        "qpt_constants": lambda s: qpt_constants(s),
+        "qpt_certify s": lambda s: qpt_certify(s, [2], [0.5]),
+        "qpt_certify t": lambda s: qpt_certify(1.0, [2], [0.5], t=s),
+        "qpt_certify c_t": lambda s: qpt_certify(1.0, [2], [0.5], c_t=s),
+    }
+
+
+def _integer_entries():
+    sharp, plus = WeightKind.sharp(1.0), WeightKind.plus(1.0)
+    return {
+        "count_cross r": lambda x: count_cross(x, 3),
+        "count_cross d": lambda x: count_cross(7, x),
+        "CrossSpec": lambda x: CrossSpec(x, x),
+        "count_cross_bruteforce": lambda x: count_cross_bruteforce(9, x),
+        "count_positive": lambda x: count_positive(9, x),
+        "enumerate_cross": lambda x: list(enumerate_cross(4, x)),
+        "enumerate_dyadic_cross": lambda x: sorted(enumerate_dyadic_cross(x, x)),
+        "volume_exact": lambda x: volume_exact(5.0, x),
+        "ApproxNumber r": lambda x: ApproxNumber(x, 1.5),
+        "WeightKind.integer_m": lambda x: WeightKind.integer_m(x),
+        "exact_an_sharp n": lambda x: exact_an_sharp(x, 2, 1.0),
+        "exact_an_sharp d": lambda x: exact_an_sharp(9, x, 1.0),
+        "sharp_table d": lambda x: sharp_table(x, 1.0, 7),
+        "sharp_table n_max": lambda x: sharp_table(3, 1.0, x),
+        "breakpoints_sharp": lambda x: breakpoints_sharp(x, 1.0, x),
+        "rearranged_spectrum d": lambda x: rearranged_spectrum(plus, x, 7),
+        "rearranged_spectrum n_max": lambda x: rearranged_spectrum(plus, 3, x),
+        "verify_weight_domination": lambda x: verify_weight_domination(
+            (sharp, plus), x, x),
+        "bound_value": lambda x: bound_value(BoundFormula.PRE_LOWER_47, x, x, 1.0),
+        "alpha_exponent": lambda x: alpha_exponent(x, x),
+        "asymptotic_constant": lambda x: asymptotic_constant(x, 1.0),
+        "limit_ratio_trace": lambda x: limit_ratio_trace(x, 1.0, [x, 10]),
+        "info_complexity_sharp": lambda x: info_complexity_sharp(0.1, x, 1.0),
+        "info_complexity_bounds": lambda x: info_complexity_bounds(
+            plus, 0.3, x, exact=True),
+        "qpt_certify": lambda x: qpt_certify(1.0, [x], [0.5]),
+        "optimal_truncation n": lambda x: optimal_truncation(x, 3, 1.0),
+        "optimal_truncation d": lambda x: optimal_truncation(7, x, 1.0),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 0.0, -1.0, "1"])
+def test_smoothness_rules_refuse_non_finite(bad):
+    for name, call in _s_entries().items():
+        with pytest.raises(ValueError):
+            call(bad)
+            pytest.fail(f"{name} accepted {bad!r}")
+
+
+def test_integer_rules_refuse_fractions_and_coerce_integral_floats():
+    for name, call in _integer_entries().items():
+        for bad in (2.5, math.nan, math.inf, "2"):
+            with pytest.raises(ValueError):
+                call(bad)
+                pytest.fail(f"{name} accepted {bad!r}")
+        assert repr(call(2.0)) == repr(call(2)), name
+
+
+def test_tolerance_rules_refuse_outside_unit_interval():
+    for bad in (0.0, 1.0, 1.5, -0.5, math.nan, math.inf, "0.5"):
+        for call in (lambda e: info_complexity_sharp(e, 2, 1.0),
+                     lambda e: info_complexity_bounds(WeightKind.plus(1.0), e, 2),
+                     lambda e: qpt_certify(1.0, [2], [0.5, e])):
+            with pytest.raises(ValueError):
+                call(bad)
+
+
+def test_qpt_certify_validates_whole_grid_before_counting(monkeypatch):
+    calls = []
+    real = tractability.info_complexity_sharp
+    monkeypatch.setattr(tractability, "info_complexity_sharp",
+                        lambda *a: calls.append(a) or real(*a))
+    for d_grid, eps_grid in (([2, 3, 2.5], [0.5]), ([2, 3], [0.5, 0.25, 2.0]),
+                             ([2, 0], [0.5])):
+        with pytest.raises(ValueError):
+            qpt_certify(1.0, d_grid, eps_grid)
+    assert calls == []
