@@ -1,9 +1,10 @@
 """The package's argument rules, its relative tolerance and ``log_int``.
 
 The paper's objects are defined for finite smoothness s > 0, integers
-d, n, r >= 1 and tolerances 0 < eps < 1.  Each rule below states one of
-these once: it returns the argument coerced to the type the package
-computes with, or raises ``ValueError`` naming the argument.
+d, n, r >= 1, finite real radii >= 1 and tolerances 0 < eps < 1.  Each
+rule below states one of these once: it returns the argument coerced to
+the type the package computes with, or raises ``ValueError`` naming the
+argument.
 """
 
 from __future__ import annotations
@@ -44,6 +45,16 @@ def _real(value, name: str, top: float, what: str) -> float:
 def positive(value, name: str) -> float:
     """``value`` as a finite float > 0."""
     return _real(value, name, math.inf, "be finite and positive")
+
+
+def radius(value, name: str) -> float:
+    """``value`` as a finite float >= 1, a real radius."""
+    try:
+        if 1.0 <= value < math.inf:
+            return float(value)
+    except (TypeError, OverflowError):  # not a real, or an int past double range
+        pass
+    raise ValueError(f"{name} must be finite and >= 1, got {value!r}")
 
 
 def unit_interval(value, name: str) -> float:

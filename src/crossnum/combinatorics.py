@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from ._checks import integer, positive
+from ._checks import integer, positive, radius
 from .errors import ResourceLimitError
 
 IndexVector = tuple[int, ...]
@@ -266,9 +266,7 @@ def volume_exact(r: float, ell: int) -> float:
     Horner scheme in ln r.  The tests validate every recursion level
     against adaptive quadrature.
     """
-    ell = integer(ell, "length ell")
-    if r < 1:
-        raise ValueError(f"radius must be >= 1, got {r}")
+    ell, r = integer(ell, "length ell"), radius(r, "radius r")
     if r == 1:
         return 0.0
     log_r = math.log(r)
@@ -286,9 +284,7 @@ def volume_bounds(r: float, ell: int) -> tuple[float, float]:
     With f_l(r) = r (ln r)^{l-1} / (l-1)!:  f_ell - f_{ell-1} <= v_ell <= f_ell
     (lower bound 0 for ell = 1).
     """
-    ell = integer(ell, "length ell")
-    if r < 1:
-        raise ValueError(f"radius must be >= 1, got {r}")
+    ell, r = integer(ell, "length ell"), radius(r, "radius r")
     log_r = math.log(r)
     upper = r * log_r ** (ell - 1) / math.factorial(ell - 1)
     if ell == 1:

@@ -24,10 +24,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from ._checks import REL_TOL, integer, log_int, positive
+from ._checks import REL_TOL, integer, positive
 from .combinatorics import (IndexVector, _check_guard, _count_cross,
                             _write_csv, enumeration_guard)
 from .errors import UnsupportedRegimeError
@@ -77,6 +79,46 @@ class WeightKind:
         return f"{self.family}({self.s:g})"
 
 
+def _below_switch(s: float) -> float:
+    # r^s at the last radius r below the switch (1.0 if there is none)
+    if 1024 * s <= 1000.0:  # float(r) overflows first, past 2^1024 - 2^970 - 1
+        return sys.float_info.max ** s
+    bits = int(1000.0 / s)  # then the largest b with b * s <= 1000.0
+    while bits * s > 1000.0:
+        bits -= 1
+    while (bits + 1) * s <= 1000.0:
+        bits += 1
+    return float(max(1, (1 << bits) - 1)) ** s
+
+
+def _power(r: int, s: float, reciprocal: bool = False) -> float:
+    """r^s, or r^-s with ``reciprocal``, for an integer r >= 1 and s > 0.
+
+    Non-decreasing in r (non-increasing with ``reciprocal``) by
+    construction.  Below the switch (bit length of r times s at most 1000,
+    float(r) finite) it is float(r) ** s, the arithmetic of the best-first
+    walk, bit for bit.  Beyond it, r^s is 2 ** (s log2 r): math.log2 of an
+    int is exact at powers of two and every later step is a monotone
+    rounding, so it never falls as r grows.  That branch is clamped at the
+    power of the last radius below the switch, so r^s never falls as r
+    crosses the switch either.  r^s past double range is inf, r^-s 0.0.
+    """
+    if r.bit_length() * s <= 1000.0:
+        try:
+            power = float(r) ** s
+            return 1.0 / power if reciprocal else power
+        except OverflowError:  # float(r) itself, for s < 1000/1024
+            pass
+    last = _below_switch(s)
+    exponent = s * math.log2(r)
+    if reciprocal:
+        return min(2.0 ** -exponent, 1.0 / last)
+    try:
+        return max(2.0 ** exponent, last)
+    except OverflowError:
+        return math.inf
+
+
 def weight(kind: WeightKind, k: Sequence[int]) -> float:
     """w_kind(k).  Multiplicative over coordinates; equals 1 at k = 0.
 
@@ -90,12 +132,7 @@ def weight(kind: WeightKind, k: Sequence[int]) -> float:
             product = 1
             for kj in k:
                 product *= 1 + abs(kj)
-            if product.bit_length() * kind.s <= 1000.0:
-                try:
-                    return float(product) ** kind.s
-                except OverflowError:  # float(product) itself, for s < 1000/1024
-                    pass
-            return math.exp(kind.s * log_int(product))
+            return _power(product, kind.s)
         if kind.family == "plus":
             for kj in k:
                 total *= float(1 + kj * kj) ** (kind.s / 2.0)
@@ -132,14 +169,8 @@ class ApproxNumber:
             object.__setattr__(self, "s", positive(self.s, "smoothness s"))
 
     def value(self) -> float:
-        # mirror the enumeration arithmetic (1 / float(p) ** s) bit for bit
-        # while r^s stays inside double range; log space beyond that
-        if self.r.bit_length() * self.s <= 1000.0:
-            try:
-                return 1.0 / float(self.r) ** self.s
-            except OverflowError:  # float(r) itself, for s < 1000/1024
-                pass
-        return math.exp(-self.s * log_int(self.r))
+        # the enumeration's arithmetic, 1 / float(r) ** s, below the switch
+        return _power(self.r, self.s, reciprocal=True)
 
 
 @dataclass(frozen=True)
@@ -158,30 +189,62 @@ def breakpoints_sharp(d: int, s: float, r_max: int) -> list[Breakpoint]:
             for r in range(1, integer(r_max, "r_max") + 1)]
 
 
+_CURSOR_CAP = 64  # dimensions whose last staircase step is kept
+_cursor: dict[int, tuple[int, int, int]] = {}  # d -> (r, C(r-1, d), C(r, d))
+_cursor_lock = threading.Lock()  # makes the check of the cap and the store one step
+
+
 def exact_an_sharp(n: int, d: int, s: float) -> ApproxNumber:
     """The exact n-th approximation number for the sharp weight.
 
     Returns r^{-s} (symbolically) for the unique radius r with
-    C(r-1, d) < n <= C(r, d); the radius is located by galloping followed
-    by binary search on the exact counts.  The arguments are validated once;
-    the probes skip the checks of :func:`count_cross`, and counts repeated
-    across neighbouring n are served from a bounded memo of C(r, d).
+    C(r-1, d) < n <= C(r, d).  The radius depends on (n, d) only, so a
+    cursor keeps the last step found for each d as (r, C(r-1, d), C(r, d)).
+    A lookup inside that step needs no count.  One within a step width of
+    it gallops from the step toward n, doubling the stride; one farther
+    away gallops from r = 0 through powers of two.  Either way the bracket
+    is then bisected on the exact counts.  Every kept step is a true fact
+    about the counts, so a stale step, or one another caller left, only
+    changes where the search starts, never its answer.  The cursor holds
+    at most 64 dimensions and is cleared when a new one would exceed that;
+    the counts come from a bounded memo of C(r, d).  The arguments are
+    validated once, and the probes skip the checks of :func:`count_cross`.
     """
     # the common case is tested inline; the rules coerce or refuse the rest
     if not (type(n) is type(d) is int and n >= 1 and d >= 1):
         n, d = integer(n, "index n"), integer(d, "dimension d")
     if not (type(s) is float and 0.0 < s < math.inf):
         s = positive(s, "smoothness s")
-    hi = 1
-    while _count_cross(hi, d) < n:
-        hi <<= 1
-    lo = hi >> 1  # count at lo is < n (or lo == 0)
+    r, below, top = _cursor.get(d, (1, 0, 1))  # C(0, d) = 0, C(1, d) = 1
+    if below < n <= top:
+        return ApproxNumber(r, s)
+    # gallop to a bracket with C(lo, d) < n <= C(hi, d): from the step when
+    # n is within one step width of it, else from r = 0 through powers of
+    # two, whose counts the memo shares between far-apart lookups
+    stride, width = 1, top - below
+    if below - width < n <= below:
+        hi, c_hi = r - 1, below
+        while True:
+            lo = max(hi - stride, 0)
+            c_lo = _count_cross(lo, d) if lo else 0
+            if c_lo < n:
+                break
+            hi, c_hi, stride = lo, c_lo, stride << 1
+    else:
+        origin, lo, c_lo = (r, r, top) if below < n <= top + width else (0, 0, 0)
+        while (c_hi := _count_cross(origin + stride, d)) < n:
+            lo, c_lo, stride = origin + stride, c_hi, stride << 1
+        hi = origin + stride
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _count_cross(mid, d) < n:
-            lo = mid
+        if (count := _count_cross(mid, d)) < n:
+            lo, c_lo = mid, count
         else:
-            hi = mid
+            hi, c_hi = mid, count
+    with _cursor_lock:
+        if d not in _cursor and len(_cursor) >= _CURSOR_CAP:
+            _cursor.clear()
+        _cursor[d] = (hi, c_lo, c_hi)
     return ApproxNumber(hi, s)
 
 

@@ -198,6 +198,15 @@ def test_volume_exact_base_cases():
         volume_exact(10, 0)
 
 
+@pytest.mark.parametrize("volume", [volume_exact, volume_bounds])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.999, 0,
+                                 10 ** 400, "2"])
+def test_volume_radius_must_be_finite_and_at_least_one(volume, bad):
+    with pytest.raises(ValueError, match="radius r"):
+        volume(bad, 2)
+    assert volume(1, 2) == volume(1.0, 2)
+
+
 def test_volume_recursion_against_quadrature():
     # v_{l+1}(r) = r * int_1^r v_l(s)/s^2 ds, checked level by level with
     # adaptive quadrature; this validates every step of the derivation

@@ -103,6 +103,41 @@ def test_weight_monotone_and_sign_symmetric(kind, d, box):
             w_up = weight(kind, up)
             assert w_up >= w and -1.0 / w_up >= -1.0 / w, (k, j)
 
+
+# first radius whose r^s leaves the float arithmetic for log space: bit
+# length times s past 1000, or (s = 0.5) float(r) overflowing near 2^1024
+_LOG_SPACE_SWITCH = [(0.5, 2 ** 1024 - 2 ** 970), (1.0, 2 ** 1000),
+                     (1.5, 2 ** 666), (3.0, 2 ** 333), (7.0, 2 ** 142)]
+
+
+@pytest.mark.parametrize("s, switch", _LOG_SPACE_SWITCH,
+                         ids=[f"s={s}" for s, _ in _LOG_SPACE_SWITCH])
+def test_weight_monotone_across_log_space_switch(s, switch):
+    # the same lemma for sharp weights and a_n = r^-s on both sides of the
+    # switch, and past it at powers of two; below it the values are the
+    # float arithmetic float(r) ** s bit for bit
+    kind = WeightKind.sharp(s)
+    bits = switch.bit_length()
+    edges = [switch] + [1 << b for b in range(bits - 2, bits + 400, 7)]
+    radii = sorted({r for edge in edges for r in range(edge - 40, edge + 40)})
+    weights = [weight(kind, (r - 1,)) for r in radii]
+    values = [ApproxNumber(r, s).value() for r in radii]
+    for r, w, a in zip(radii, weights, values):
+        if r < switch:
+            assert w == float(r) ** s and a == 1.0 / float(r) ** s, r
+    for i in range(len(radii) - 1):
+        assert weights[i] <= weights[i + 1], radii[i]
+        assert values[i] >= values[i + 1], radii[i]
+    # two coordinates: raising either one never lowers the weight
+    for a in (1, 2, 6):
+        b = switch // (1 + a)
+        for k2 in range(b - 20, b + 20):
+            w = weight(kind, (a, k2))
+            assert w <= weight(kind, (a, k2 + 1))
+            assert w <= weight(kind, (a + 1, k2))
+    assert ApproxNumber(2 ** 1000, 1.0).value() <= \
+        ApproxNumber(2 ** 1000 - 1, 1.0).value()
+
 # -- exact sharp spectrum ---------------------------------------------------
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
