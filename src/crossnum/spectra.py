@@ -200,10 +200,10 @@ def exact_an_sharp(n: int, d: int, s: float) -> ApproxNumber:
     Returns r^{-s} (symbolically) for the unique radius r with
     C(r-1, d) < n <= C(r, d).  The radius depends on (n, d) only, so a
     cursor keeps the last step found for each d as (r, C(r-1, d), C(r, d)).
-    A lookup inside that step needs no count.  One within a step width of
-    it gallops from the step toward n, doubling the stride; one farther
-    away gallops from r = 0 through powers of two.  Either way the bracket
-    is then bisected on the exact counts.  Every kept step is a true fact
+    A lookup inside that step needs no count.  One within a step width
+    above it gallops up from the step, doubling the stride; any other
+    gallops from r = 0 through powers of two.  Either way the bracket is
+    then bisected on the exact counts.  Every kept step is a true fact
     about the counts, so a stale step, or one another caller left, only
     changes where the search starts, never its answer.  The cursor holds
     at most 64 dimensions and is cleared when a new one would exceed that;
@@ -219,22 +219,13 @@ def exact_an_sharp(n: int, d: int, s: float) -> ApproxNumber:
     if below < n <= top:
         return ApproxNumber(r, s)
     # gallop to a bracket with C(lo, d) < n <= C(hi, d): from the step when
-    # n is within one step width of it, else from r = 0 through powers of
-    # two, whose counts the memo shares between far-apart lookups
-    stride, width = 1, top - below
-    if below - width < n <= below:
-        hi, c_hi = r - 1, below
-        while True:
-            lo = max(hi - stride, 0)
-            c_lo = _count_cross(lo, d) if lo else 0
-            if c_lo < n:
-                break
-            hi, c_hi, stride = lo, c_lo, stride << 1
-    else:
-        origin, lo, c_lo = (r, r, top) if below < n <= top + width else (0, 0, 0)
-        while (c_hi := _count_cross(origin + stride, d)) < n:
-            lo, c_lo, stride = origin + stride, c_hi, stride << 1
-        hi = origin + stride
+    # n is within one step width above it, else from r = 0 through powers
+    # of two, whose counts the memo shares between far-apart lookups
+    stride = 1
+    origin, lo, c_lo = (r, r, top) if top < n <= 2 * top - below else (0, 0, 0)
+    while (c_hi := _count_cross(origin + stride, d)) < n:
+        lo, c_lo, stride = origin + stride, c_hi, stride << 1
+    hi = origin + stride
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if (count := _count_cross(mid, d)) < n:

@@ -130,16 +130,16 @@ def test_lookup_probes_near_and_far_from_the_step(d, monkeypatch):
     assert calls == []
     assert exact_an_sharp(top + 1, d, 1.0).r == r + 1
     assert calls == [r + 1]
-    # far above or below the step, the search is the one from r = 1, whose
-    # powers of two the memo shares between far-apart lookups
-    for n in (10 ** 7, 17, 10 ** 5):
+    # below the step, or far above it, the search is the one from r = 1,
+    # whose powers of two the memo shares between far-apart lookups
+    for n in (top, 10 ** 7, 17, 10 ** 5):
         calls.clear()
         expected = []
         assert exact_an_sharp(n, d, 1.0).r == _gallop_from_one(n, d, expected)
         assert calls == expected, n
 
 
-def test_cursor_shared_by_threads_stays_true_and_bounded():
+def test_cursor_answers_stay_true_under_thread_switching():
     # more threads than cores, switching often, storing steps for fresh
     # dimensions so the cap is hit and cleared while the others store
     _forget()
@@ -171,3 +171,38 @@ def test_cursor_shared_by_threads_stays_true_and_bounded():
     assert errors == []
     for d, (r, below, top) in spectra._cursor.items():
         assert (below, top) == (_count(r - 1, d), _count(r, d))
+
+
+def test_cap_holds_when_two_threads_store_at_once(monkeypatch):
+    # the cursor is one entry short of its cap and two threads store a new
+    # dimension each.  Reading the size waits for the other thread to read
+    # it too: unguarded, both would see room, skip the clear and store, one
+    # entry past the cap.  The lock keeps the other thread out, so the wait
+    # times out, the first store fills the cap and the second clears it first.
+    meeting = threading.Barrier(2)
+
+    class Meeting(dict):
+        def __len__(self):
+            size = super().__len__()
+            try:
+                meeting.wait(timeout=0.5)
+            except threading.BrokenBarrierError:
+                pass
+            return size
+
+    _forget()
+    cursor = Meeting((d, (1, 0, 1)) for d in range(1, CAP))
+    monkeypatch.setattr(spectra, "_cursor", cursor)
+    radii = {}
+
+    def store(d):
+        radii[d] = exact_an_sharp(2, d, 1.0).r
+
+    threads = [threading.Thread(target=store, args=(d,)) for d in (CAP + 1, CAP + 2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert radii == {CAP + 1: 2, CAP + 2: 2}
+    assert dict.__len__(cursor) == 1
