@@ -1,4 +1,4 @@
-"""The package's argument rules, its relative tolerance and ``log_int``.
+"""The package's argument rules and its relative tolerance.
 
 The paper's objects are defined for finite smoothness s > 0, integers
 d, n, r >= 1, finite real radii >= 1 and tolerances 0 < eps < 1.  Each
@@ -13,8 +13,6 @@ import math
 import operator
 
 REL_TOL = 1e-12  # relative slack of every float comparison in the package
-
-_LN2 = math.log(2.0)
 
 
 def integer(value, name: str, least: int = 1) -> int:
@@ -60,17 +58,3 @@ def radius(value, name: str) -> float:
 def unit_interval(value, name: str) -> float:
     """``value`` as a float with 0 < value < 1."""
     return _real(value, name, 1.0, "lie in (0, 1)")
-
-
-def log_int(n: int) -> float:
-    """ln n for a positive integer of any size.
-
-    Counts that overflow float conversion are shifted down to a 64-bit
-    mantissa first; the relative error stays at machine precision.
-    """
-    if n <= 0:
-        raise ValueError(f"need a positive integer, got {n}")
-    if n.bit_length() <= 960:
-        return math.log(n)
-    shift = n.bit_length() - 64
-    return math.log(n >> shift) + shift * _LN2

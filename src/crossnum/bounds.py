@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from ._checks import REL_TOL as TOLERANCE
-from ._checks import integer, log_int, positive
+from ._checks import integer, positive
 from .combinatorics import _write_csv, count_cross
 from .spectra import SpectrumTable, WeightKind, exact_an_sharp, rearranged_spectrum
 
@@ -55,17 +55,18 @@ def _from_27(d: int) -> int:
 @lru_cache(maxsize=1024)
 def _past_12e2(d: int) -> int:
     # Lower bounds of Thms 4.3/4.9/4.10/4.13 need n > (12 e^2)^d.  The
-    # threshold is irrational, so bisect for the least n passing the exact
-    # comparison log_int(n) > d (ln 12 + 2); no float power can overflow.
+    # threshold is irrational, so bisect for the least n passing the
+    # comparison ln n > d (ln 12 + 2); no float power can overflow.
     t = d * (_LN12 + 2.0)
-    bits = int(t / _LN2) + 2  # log_int(2^(bits-4)) <= t < log_int(2^bits)
-    # past 960 bits log_int reads only the top 64 bits of n, so every
-    # aligned block of 2^shift candidates compares alike
+    bits = int(t / _LN2) + 2  # 2^(bits-4) < e^t < 2^bits
+    # past 1000 bits n is judged by its aligned block of 2^shift candidates,
+    # ln(n >> shift) + shift ln 2: one value per block, and non-decreasing
+    # from block to block, so the bisection finds the least passing block
     shift = max(0, bits - 1000)
     lo, hi = 1 << (bits - 4 - shift), 1 << (bits - shift)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if log_int(mid << shift) > t:
+        if math.log(mid) + shift * _LN2 > t:
             hi = mid
         else:
             lo = mid
@@ -139,7 +140,7 @@ def _validate_args(formula: BoundFormula, n: int, d: int,
 def alpha_exponent(n: int, d: int) -> float:
     """The preasymptotic decay exponent alpha(n, d) = 2 + log2(d/log2(n) + 1/2)."""
     n, d = integer(n, "index n", least=2), integer(d, "dimension d")
-    log2_n = log_int(n) / _LN2
+    log2_n = math.log(n) / _LN2
     return 2.0 + math.log2(d / log2_n + 0.5)
 
 
@@ -156,7 +157,7 @@ def _is_valid(formula: BoundFormula, n: int, d: int) -> bool:
 
 
 def _log_value(formula: BoundFormula, n: int, d: int, s: float) -> float:
-    ln_n = log_int(n)
+    ln_n = math.log(n)
     if formula is BoundFormula.ASYMPTOTIC_CONSTANT:
         return s * (d * _LN2 - math.lgamma(d))
     if formula is BoundFormula.SHARP_UPPER_43:
@@ -298,7 +299,7 @@ def limit_ratio_trace(d: int, s: float,
     rows: list[tuple[int, float]] = []
     for r in radii:
         n = count_cross(r, d)
-        ln_n = log_int(n)
+        ln_n = math.log(n)
         ratio = math.exp(s * (ln_n - math.log(r) - (d - 1) * math.log(ln_n)))
         rows.append((n, ratio))
     return rows

@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tract.add_argument("--m", type=_positive_int)
     p_tract.add_argument("--eps", type=float, required=True)
     p_tract.add_argument("--exact", action="store_true",
-                         help="resolve non-sharp kinds exactly (d <= 3)")
+                         help="resolve non-sharp kinds exactly")
     add_common(p_tract)
 
     p_cross = sub.add_parser("cross", help="export N(r, d) as CSV")
@@ -321,10 +321,8 @@ def _cmd_cross(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     rows = combinatorics.write_cross_csv(buffer, args.r, args.d,
                                          max_enum=args.max_enum)
-    if args.out is None:
-        sys.stdout.write(buffer.getvalue())
-    else:
-        _emit(buffer.getvalue(), args.out)
+    _emit(buffer.getvalue(), args.out)
+    if args.out is not None:
         summary = _with_meta({"path": args.out, "rows": str(rows)}, args)
         sys.stdout.write(_dump_json(summary))
     return EXIT_OK

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation would enumerate more lattice points than the guard allows,
-    or needs a radius beyond double range.
+    """An operation needs more lattice points than the guard allows, or a
+    radius beyond double range.
 
-    Raised before any work is materialised, so callers can retry with a
-    larger ``max_enum`` (or the CROSSNUM_MAX_ENUM environment variable)
-    without cleaning anything up.  ``requested`` and ``limit`` are set for
-    guard refusals.
+    No partial result is returned and the CLI writes no ``--out`` file, so
+    callers can retry with a larger ``max_enum`` (or the CROSSNUM_MAX_ENUM
+    environment variable) without cleaning anything up.  ``requested`` and
+    ``limit`` are set for guard refusals.
     """
 
     def __init__(self, message: str, *, requested: int | None = None,

@@ -296,16 +296,16 @@ def sharp_table(d: int, s: float, n_max: int) -> SpectrumTable:
                          radius=None, bases=tuple(bases))
 
 
-def _best_first(kind: WeightKind, d: int, length: int, max_enum: int | None
+def _best_first(kind: WeightKind, d: int, max_enum: int | None
                 ) -> Iterator[tuple[float, int, IndexVector]]:
     # (1/weight, 2^nnz(k), k) over k in N_0^d with 1/weight non-increasing:
     # weights are symmetric and nondecreasing in each |k_j|, in floats too,
     # so no child k + e_j (j at or past the last nonzero coordinate of k)
-    # outranks its unique parent k.  The guard bounds length and frontier.
+    # outranks its unique parent k.  The guard bounds the vectors popped
+    # and the frontier held, the walk's work.
     guard = enumeration_guard(max_enum)
-    _check_guard(length, guard, f"best-first walk for {length} values")
     heap = [(-1.0, (0,) * d, 0)]  # (-1/weight, k, first j to increment)
-    while True:
+    for _ in range(guard):
         key, k, first = heapq.heappop(heap)
         yield -key, 1 << (d - k.count(0)), k
         for j in range(first, d):
@@ -314,6 +314,8 @@ def _best_first(kind: WeightKind, d: int, length: int, max_enum: int | None
         if len(heap) > guard:
             _check_guard(len(heap), guard, f"best-first frontier holds "
                                            f"{len(heap)} vectors")
+    _check_guard(guard + 1, guard, f"best-first walk would pop {guard + 1} "
+                                   "vectors")
 
 
 def rearranged_spectrum(kind: WeightKind, d: int, n_max: int, *,
@@ -327,9 +329,10 @@ def rearranged_spectrum(kind: WeightKind, d: int, n_max: int, *,
     :func:`sharp_table` and exists as a cross-check.
     """
     n_max, d = integer(n_max, "table length n_max"), integer(d, "dimension d")
+    _check_guard(n_max, max_enum, f"best-first walk for {n_max} values")
     values: list[float] = []
     radius = 1
-    for value, copies, k in _best_first(kind, d, n_max, max_enum):
+    for value, copies, k in _best_first(kind, d, max_enum):
         values.extend([value] * min(copies, n_max - len(values)))
         radius = max(radius, math.prod(1 + kj for kj in k))
         if len(values) == n_max:

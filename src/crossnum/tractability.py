@@ -4,7 +4,7 @@ For the sharp weight the complexity n(eps, d) = min{n : a_n <= eps} is
 exact: with r* the least integer radius satisfying r*^{-s} <= eps, the
 answer is C(r* - 1, d) + 1.  The other weight families are enclosed
 between sharp complexities via norm-one comparisons, with an optional
-exact resolution by a best-first walk in low dimension.
+exact resolution by a best-first walk.
 
 The quasi-polynomial certificate checks
 
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._checks import REL_TOL, integer, log_int, positive, unit_interval
+from ._checks import REL_TOL, integer, positive, unit_interval
 from .combinatorics import _write_csv, count_cross
 from .errors import ResourceLimitError
 from .spectra import WeightKind, _best_first
@@ -79,9 +79,10 @@ def info_complexity_bounds(kind: WeightKind, eps: float, d: int, *,
                 (the star and sharp weights coincide at s = 1/2)
     * intm(m):  [n_sharp(m),  n_sharp(1/2)]
 
-    With ``exact=True`` (supported for d <= 3) the value is resolved by
-    walking 1/weight in non-increasing order up to the first value <= eps;
-    the walk never passes index ``upper``.
+    With ``exact=True`` the value is resolved by walking 1/weight in
+    non-increasing order up to the first value <= eps; the walk never
+    passes index ``upper``, and it is refused once the vectors it pops, or
+    its frontier, exceed the enumeration guard.
     """
     eps, d = unit_interval(eps, "tolerance eps"), integer(d, "dimension d")
     s = kind.s
@@ -103,9 +104,7 @@ def info_complexity_bounds(kind: WeightKind, eps: float, d: int, *,
         upper = info_complexity_sharp(eps, d, 0.5)
     if not exact:
         return ComplexityEnclosure(lower, upper)
-    if d > 3:
-        raise ValueError("exact resolution is supported for d <= 3 only")
-    walk = _best_first(kind, d, upper, max_enum)
+    walk = _best_first(kind, d, max_enum)
     n = 1  # sigma_upper <= eps by the enclosure; ties resolve toward a_n <= eps
     while n < upper:
         value, copies, _ = next(walk)
@@ -175,9 +174,9 @@ def qpt_certify(s: float, d_grid: Sequence[int], eps_grid: Sequence[float],
         for eps in eps_grid:
             n = info_complexity_sharp(eps, d, s)
             scale = math.log(1.0 / eps) * (1.0 + math.log(d))
-            margin = log_int(n) - ln_ct - t * scale
+            margin = math.log(n) - ln_ct - t * scale
             grid.append((eps, d))
-            per_point_t.append(max(0.0, (log_int(n) - ln_ct) / scale))
+            per_point_t.append(max(0.0, (math.log(n) - ln_ct) / scale))
             if margin > slack:
                 slack = margin
                 worst = (eps, d)

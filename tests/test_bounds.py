@@ -1,3 +1,4 @@
+import decimal
 import io
 import math
 
@@ -93,6 +94,17 @@ def test_bound_value_validity_windows():
             if info.cap is not None:
                 assert bound_value(formula, info.cap(d), d, 1.0) is not None
                 assert bound_value(formula, info.cap(d) + 1, d, 1.0) is None
+    # past 1000 bits the start is bisected over aligned blocks; it stays the
+    # first valid index and within 1e-12 of (12 e^2)^d, found independently
+    # with 60-digit decimals
+    with decimal.localcontext() as context:
+        context.prec = 60
+        base = decimal.Decimal(12).ln() + 2
+        for d in range(148, 401):
+            first = formula_info(BoundFormula.PLUS_LOWER_49).first(d)
+            assert bound_value(BoundFormula.PLUS_LOWER_49, first - 1, d, 1.0) is None
+            assert bound_value(BoundFormula.PLUS_LOWER_49, first, d, 1.0) is not None
+            assert abs(decimal.Decimal(first) / (base * d).exp() - 1) < 1e-12
     for formula in (BoundFormula.PRE_UPPER_46, BoundFormula.PRE_LOWER_47):
         # d = 1 is outside the preasymptotic range even below its cap of 2
         assert all(bound_value(formula, n, 1, 1.0) is None for n in (1, 2, 3))

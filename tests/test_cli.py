@@ -213,6 +213,14 @@ def test_tract_enclosure_matches_library(capsys):
                        "upper": str(enclosure.upper)}
 
 
+def test_tract_exact_bytes_past_three_dimensions(capsys):
+    code, out, _ = run(capsys, "tract", "--kind", "plus", "--s", "1",
+                       "--d", "4", "--eps", "0.01", "--exact")
+    assert code == EXIT_OK
+    assert out == ('{"exact":"59042","kind":"plus(1)","lower":"20242",'
+                   '"upper":"17487522"}\n')
+
+
 def test_tract_rejects_eps_outside_unit_interval(capsys):
     code, _, err = run(capsys, "tract", "--kind", "sharp", "--s", "1",
                        "--d", "2", "--eps", "1.5")
@@ -318,7 +326,8 @@ def test_radius_beyond_double_range_is_resource_limit(capsys):
 
 
 def test_best_first_guard_refusals(capsys):
-    # the table length, or the enclosure's upper end, exceeds the guard
+    # the table length exceeds the guard, or the walk pops more vectors
+    # than the guard before it reaches eps
     for argv in (("spectrum", "--kind", "plus", "--d", "2", "--s", "1",
                   "--n", "5000", "--max-enum", "100"),
                  ("tract", "--kind", "plus", "--d", "2", "--s", "1",

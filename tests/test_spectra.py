@@ -252,11 +252,16 @@ def test_rearranged_spectrum_box_oracle():
             assert count_cross(table.radius, d) >= n_max, (kind.label(), d)
 
 
+# (d, box, tolerances); the box holds every value above each tolerance
+_EXACT_CASES = ((2, 40, (0.4, 0.2, 0.12)), (3, 20, (0.4, 0.2, 0.12)),
+                (4, 6, (0.4, 0.3, 0.25)), (5, 4, (0.4, 0.35)))
+
+
 def test_exact_complexity_matches_box_oracle():
-    for d, box, _ in _BOX_CASES[1::2]:
+    for d, box, tolerances in _EXACT_CASES:
         for kind in _BOX_KINDS:
             values, _ = _box_values(kind, d, box)
-            for eps in (0.4, 0.2, 0.12):
+            for eps in tolerances:
                 assert _outside_box(kind, d, box) <= eps
                 enc = info_complexity_bounds(kind, eps, d, exact=True)
                 first = next(n for n, value in enumerate(values, start=1)

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import time
 
 import pytest
 
@@ -131,15 +132,27 @@ def test_families_coincide_at_smoothness_one():
 
 
 def test_exact_resolution_guard():
-    # the enclosure's upper end (334,578 values) exceeds the guard
+    # the walk pops more than 100 vectors before any value reaches eps
     with pytest.raises(ResourceLimitError):
         info_complexity_bounds(WeightKind.plus(1.0), 0.01, 2, exact=True,
                                max_enum=100)
 
 
-def test_exact_resolution_dimension_limit():
-    with pytest.raises(ValueError):
-        info_complexity_bounds(WeightKind.plus(1.0), 0.3, 4, exact=True)
+def test_exact_resolution_is_not_held_to_the_enclosure_upper_end():
+    # the upper end (686,598,654) exceeds the default guard, the walk's
+    # work does not
+    enc = info_complexity_bounds(WeightKind.plus(1.0), 1e-3, 3, exact=True)
+    assert (enc.lower, enc.exact, enc.upper) == (155958, 249968, 686598654)
+
+
+@pytest.mark.parametrize("d", [4, 6, 12])
+def test_exact_resolution_refuses_over_guard_walk(d):
+    began = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as refusal:
+        info_complexity_bounds(WeightKind.plus(1.0), 1e-3, d, exact=True,
+                               max_enum=10_000)
+    assert time.perf_counter() - began < 5.0
+    assert refusal.value.limit == 10_000 < refusal.value.requested
 
 
 # -- quasi-polynomial certificates --------------------------------------------
