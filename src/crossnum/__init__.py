@@ -7,11 +7,10 @@ from .combinatorics import (CrossSpec, GeneralizedWeightSeq, count_cross,
                             count_cross_bruteforce, count_generalized,
                             count_positive, enumerate_cross,
                             enumerate_dyadic_cross, enumeration_guard,
-                            volume_bounds, volume_exact, write_cross_csv)
+                            volume_bounds, volume_exact)
 from .errors import ResourceLimitError, UnsupportedRegimeError
-from .fourier import (CoefficientModel, TruncationOperator, error_report,
-                      optimal_truncation, truncation_error,
-                      worst_case_witness)
+from .fourier import (CoefficientModel, TruncationOperator,
+                      optimal_truncation, truncation_error, worst_case_witness)
 from .spectra import (ApproxNumber, Breakpoint, DominationReport,
                       SpectrumTable, WeightKind, breakpoints_sharp,
                       exact_an_sharp, rearranged_spectrum, sharp_table,
@@ -31,10 +30,10 @@ __all__ = [
     "asymptotic_constant", "bound_value", "breakpoints_sharp", "count_cross",
     "count_cross_bruteforce", "count_generalized", "count_positive",
     "enumerate_cross", "enumerate_dyadic_cross", "enumeration_guard",
-    "error_report", "exact_an_sharp", "formula_info", "info_complexity_bounds",
+    "exact_an_sharp", "formula_info", "info_complexity_bounds",
     "info_complexity_sharp", "limit_ratio_trace", "optimal_truncation",
     "qpt_certify", "qpt_constants", "rearranged_spectrum", "sharp_table",
     "truncation_error", "verify_bound", "verify_weight_domination",
     "volume_bounds", "volume_exact", "weight", "worst_case_witness",
-    "write_cross_csv", "__version__",
+    "__version__",
 ]

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 from ._checks import REL_TOL as TOLERANCE
 from ._checks import integer, positive
-from .combinatorics import _write_csv, count_cross
+from .combinatorics import count_cross
 from .spectra import SpectrumTable, WeightKind, exact_an_sharp, rearranged_spectrum
 
 _LN2 = math.log(2.0)
@@ -120,13 +120,6 @@ _INFO = {
 
 def formula_info(formula: BoundFormula) -> FormulaInfo:
     return _INFO[formula]
-
-
-def formula_from_name(name: str) -> BoundFormula:
-    for formula in BoundFormula:
-        if formula.value == name:
-            return formula
-    raise ValueError(f"unknown formula {name!r}")
 
 
 def _validate_args(formula: BoundFormula, n: int, d: int,
@@ -303,28 +296,3 @@ def limit_ratio_trace(d: int, s: float,
         ratio = math.exp(s * (ln_n - math.log(r) - (d - 1) * math.log(ln_n)))
         rows.append((n, ratio))
     return rows
-
-
-def report_record(report: VerificationReport) -> dict[str, object]:
-    """JSON-ready payload for a verification report."""
-    return {
-        "formula": report.formula.value,
-        "d": report.d,
-        "s": report.s,
-        "checked": report.checked,
-        "skipped": report.skipped,
-        "pass": report.passed,
-        "max_slack": report.max_slack if report.checked else None,  # no -inf
-        "violations": [
-            {"n": str(n), "exact": exact, "bound": bound}
-            for n, exact, bound in report.violations
-        ],
-    }
-
-
-def write_trace_csv(path_or_file, d: int, s: float,
-                    rows: Sequence[tuple[int, float]]) -> int:
-    """CSV rows ``n,ratio,constant`` for a limit-ratio trace."""
-    constant = repr(asymptotic_constant(d, s))
-    return _write_csv(path_or_file, ["n", "ratio", "constant"],
-                      ([str(n), repr(ratio), constant] for n, ratio in rows))

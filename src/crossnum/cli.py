@@ -6,6 +6,9 @@ formulas and quasi-polynomial certificates against exact spectra),
 ``tract`` (information complexity), ``cross`` (index-set CSV export) and
 ``trace`` (limit-ratio traces).
 
+The library returns dataclasses; this module alone formats output, in
+the JSON payloads and the CSV tables below.
+
 Output is byte-stable: JSON is compact with sorted keys, CSV uses fixed
 headers and bare newlines, floats print as their shortest round-trip
 representation.  Counts travel as decimal strings because they can
@@ -18,12 +21,14 @@ never leave partial output behind.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
+import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from . import bounds, combinatorics, fourier, spectra, tractability
+from . import bounds, combinatorics, spectra, tractability
 from ._checks import integer
 from .errors import ResourceLimitError
 
@@ -137,6 +142,64 @@ def _dump_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _csv(header: list[str], rows: Iterable[list]) -> tuple[str, int]:
+    # the one CSV writer: fixed header, bare newline line endings; returns
+    # the text and the number of data rows
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    count = 0
+    for row in rows:
+        writer.writerow(row)
+        count += 1
+    return buffer.getvalue(), count
+
+
+def _spectrum_record(table: spectra.SpectrumTable) -> dict[str, object]:
+    record: dict[str, object] = {"kind": table.kind.label(), "d": table.d,
+                                 "certification": table.certification,
+                                 "values": list(table.values)}
+    if table.radius is not None:
+        record["radius"] = table.radius
+    return record
+
+
+def _spectrum_csv(table: spectra.SpectrumTable) -> str:
+    values = enumerate(table.values, start=1)
+    if table.bases is None:
+        return _csv(["n", "sigma"], ([n, repr(v)] for n, v in values))[0]
+    return _csv(["n", "sigma", "r"],
+                ([n, repr(v), r] for (n, v), r in zip(values, table.bases)))[0]
+
+
+def _report_record(report: bounds.VerificationReport) -> dict[str, object]:
+    return {
+        "formula": report.formula.value,
+        "d": report.d,
+        "s": report.s,
+        "checked": report.checked,
+        "skipped": report.skipped,
+        "pass": report.passed,
+        "max_slack": report.max_slack if report.checked else None,  # no -inf
+        "violations": [{"n": str(n), "exact": exact, "bound": bound}
+                       for n, exact, bound in report.violations],
+    }
+
+
+def _certificate_record(cert: tractability.QptCertificate) -> dict[str, object]:
+    return {
+        "s": cert.s,
+        "t": cert.t,
+        "C_t": cert.c_t,
+        "grid": [[eps, d] for eps, d in cert.grid],
+        "pass": cert.passed,
+        "violations": [[eps, d] for eps, d in cert.violations],
+        "worst_point": list(cert.worst_point),
+        "slack": cert.slack,
+        "per_point_t": list(cert.per_point_t),
+    }
+
+
 def _emit(text: str, out: str | None) -> None:
     # computation is already done when we get here; writing is the last step
     if out is None:
@@ -167,7 +230,8 @@ def _resolve_kind(args: argparse.Namespace) -> spectra.WeightKind:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    payload = combinatorics.count_record(args.r, args.d)
+    payload = {"r": args.r, "d": args.d,
+               "count": str(combinatorics.count_cross(args.r, args.d))}
     code = EXIT_OK
     if args.brute:
         brute = combinatorics.count_cross_bruteforce(args.r, args.d,
@@ -200,16 +264,14 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         table = spectra.rearranged_spectrum(kind, args.d, args.nmax,
                                             max_enum=args.max_enum)
     if args.format == "csv":
-        buffer = io.StringIO()
-        spectra.write_spectrum_csv(buffer, table)
-        _emit(buffer.getvalue(), args.out)
+        _emit(_spectrum_csv(table), args.out)
     else:
-        _emit(_dump_json(_with_meta(spectra.spectrum_record(table), args)), args.out)
+        _emit(_dump_json(_with_meta(_spectrum_record(table), args)), args.out)
     return EXIT_OK
 
 
-def _default_grid(formula: bounds.BoundFormula, d: int, s: float,
-                  rmax: int, nmax: int) -> list[int]:
+def _default_grid(formula: bounds.BoundFormula, d: int, rmax: int,
+                  nmax: int) -> list[int]:
     """Breakpoint-aware default verification grids.
 
     Upper bounds are worst at the right end of each constant window
@@ -258,7 +320,7 @@ def _verify_formula(formula: bounds.BoundFormula, args: argparse.Namespace,
         s = args.s
     if args.d is None:
         raise ValueError("verify requires --d")
-    grid = _default_grid(formula, args.d, s, args.rmax, args.nmax)
+    grid = _default_grid(formula, args.d, args.rmax, args.nmax)
     spectrum = None
     if info.family != "sharp":
         key = (info.family, s)
@@ -277,8 +339,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("verify --formula qpt requires --s")
         cert = tractability.qpt_certify(args.s, args.d_grid, args.eps_grid,
                                         t=args.t, c_t=args.c_t)
-        _emit(_dump_json(_with_meta(tractability.certificate_record(cert), args)),
-              args.out)
+        _emit(_dump_json(_with_meta(_certificate_record(cert), args)), args.out)
         return EXIT_OK if cert.passed else EXIT_CHECK
 
     spectrum_cache: dict = {}
@@ -290,12 +351,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             formulas = [f for f in formulas
                         if bounds.formula_info(f).family != "intm"]
         reports = [_verify_formula(f, args, spectrum_cache) for f in formulas]
-        payload: object = [bounds.report_record(rep) for rep in reports]
+        payload: object = [_report_record(rep) for rep in reports]
         passed = all(rep.passed for rep in reports)
     else:
-        report = _verify_formula(bounds.formula_from_name(args.formula), args,
+        report = _verify_formula(bounds.BoundFormula(args.formula), args,
                                  spectrum_cache)
-        payload = bounds.report_record(report)
+        payload = _report_record(report)
         passed = report.passed
     _emit(_dump_json(payload), args.out)
     return EXIT_OK if passed else EXIT_CHECK
@@ -318,10 +379,13 @@ def _cmd_tract(args: argparse.Namespace) -> int:
 
 
 def _cmd_cross(args: argparse.Namespace) -> int:
-    buffer = io.StringIO()
-    rows = combinatorics.write_cross_csv(buffer, args.r, args.d,
-                                         max_enum=args.max_enum)
-    _emit(buffer.getvalue(), args.out)
+    total = combinatorics.count_cross(args.r, args.d)
+    combinatorics._check_guard(total, args.max_enum,
+                               f"export of N({args.r},{args.d}) has {total} rows")
+    text, rows = _csv([f"k_{j}" for j in range(1, args.d + 1)] + ["product"],
+                      (list(k) + [math.prod(1 + abs(kj) for kj in k)]
+                       for k in combinatorics.enumerate_cross(args.r, args.d)))
+    _emit(text, args.out)
     if args.out is not None:
         summary = _with_meta({"path": args.out, "rows": str(rows)}, args)
         sys.stdout.write(_dump_json(summary))
@@ -330,9 +394,9 @@ def _cmd_cross(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     rows = bounds.limit_ratio_trace(args.d, args.s, args.rs)
-    buffer = io.StringIO()
-    bounds.write_trace_csv(buffer, args.d, args.s, rows)
-    _emit(buffer.getvalue(), args.out)
+    constant = repr(bounds.asymptotic_constant(args.d, args.s))
+    _emit(_csv(["n", "ratio", "constant"],
+               ([str(n), repr(ratio), constant] for n, ratio in rows))[0], args.out)
     return EXIT_OK
 
 

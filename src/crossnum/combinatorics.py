@@ -26,13 +26,12 @@ deterministic: points come out sorted by ``(prod_j (1 + |k_j|), k)``.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from ._checks import integer, positive, radius
 from .errors import ResourceLimitError
@@ -364,46 +363,3 @@ def count_generalized(seq: GeneralizedWeightSeq, eps, d: int, *,
         if product >= eps:
             count += 1
     return count
-
-
-def count_record(r: int, d: int) -> dict[str, object]:
-    """JSON-ready payload for a cross count; the count travels as a string
-    because it may exceed double precision."""
-    return {"r": int(r), "d": int(d), "count": str(count_cross(r, d))}
-
-
-def _write_csv(path_or_file, header: list[str], rows: Iterable[list]) -> int:
-    # The package's one CSV writer: a path is opened (and closed) here, an
-    # open file is written in place.  Fixed header, bare newline line
-    # endings; returns the number of data rows.
-    if not hasattr(path_or_file, "write"):
-        with open(os.fspath(path_or_file), "w", newline="") as handle:
-            return _write_csv(handle, header, rows)
-    writer = csv.writer(path_or_file, lineterminator="\n")
-    writer.writerow(header)
-    count = 0
-    for row in rows:
-        writer.writerow(row)
-        count += 1
-    return count
-
-
-def write_points_csv(path_or_file, points, d: int) -> int:
-    """Write rows ``k_1,...,k_d,product`` for an iterable of index vectors.
-
-    Returns the number of rows written.  Output is byte-stable: fixed
-    header, ``\\n`` line endings, plain decimal integers.
-    """
-    return _write_csv(path_or_file,
-                      [f"k_{j}" for j in range(1, d + 1)] + ["product"],
-                      (list(k) + [math.prod(1 + abs(kj) for kj in k)]
-                       for k in points))
-
-
-def write_cross_csv(path_or_file, r: int, d: int, *,
-                    max_enum: int | None = None) -> int:
-    """Export N(r, d) in enumeration order as CSV; returns the row count."""
-    spec = CrossSpec(r, d)
-    total = count_cross(spec.r, spec.d)
-    _check_guard(total, max_enum, f"export of N({spec.r},{spec.d}) has {total} rows")
-    return write_points_csv(path_or_file, enumerate_cross(spec.r, spec.d), spec.d)

@@ -17,7 +17,7 @@ from typing import Callable
 
 from ._checks import integer, positive
 from .combinatorics import (IndexVector, _check_guard, count_cross,
-                            enumerate_cross, volume_bounds, write_points_csv)
+                            enumerate_cross, volume_bounds)
 from .spectra import ApproxNumber, exact_an_sharp
 
 
@@ -154,25 +154,3 @@ def truncation_error(model: CoefficientModel, op: TruncationOperator,
     residual = math.fsum(abs(model.evaluator(k)) ** 2 for k in excluded)
     tail = _tail_bound(model, op.d, tail_radius)
     return math.sqrt(residual), math.sqrt(residual + tail)
-
-
-def error_report(model: CoefficientModel, op: TruncationOperator,
-                 tail_radius: int, *,
-                 max_enum: int | None = None) -> dict[str, object]:
-    """JSON-ready error report; counts travel as decimal strings."""
-    model_error, certified = truncation_error(model, op, tail_radius,
-                                              max_enum=max_enum)
-    _, worst = worst_case_witness(op)
-    return {
-        "n": str(op.rank + 1),
-        "r": op.r,
-        "rank": str(op.rank),
-        "worst_case": worst,
-        "model_error": model_error,
-        "certified_bound": certified,
-    }
-
-
-def write_index_csv(path_or_file, op: TruncationOperator) -> int:
-    """Export the kept modes as CSV rows ``k_1..k_d,product``."""
-    return write_points_csv(path_or_file, op.indices, op.d)

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 from ._checks import REL_TOL, integer, positive
 from .combinatorics import (IndexVector, _check_guard, _count_cross,
-                            _write_csv, enumeration_guard)
+                            enumeration_guard)
 from .errors import UnsupportedRegimeError
 
 _FAMILIES = ("sharp", "plus", "star", "intm")
@@ -280,18 +280,15 @@ def sharp_table(d: int, s: float, n_max: int) -> SpectrumTable:
     """Exact sharp spectrum sigma_1..sigma_{n_max} from the breakpoint staircase."""
     n_max, d = integer(n_max, "table length n_max"), integer(d, "dimension d")
     s = positive(s, "smoothness s")
-    top = exact_an_sharp(n_max, d, s)
     values: list[float] = []
     bases: list[int] = []
-    filled = 0
-    for r in range(1, top.r + 1):
-        width = min(_count_cross(r, d), n_max) - filled
-        if width <= 0:
-            continue
+    r = 0
+    while len(values) < n_max:  # each radius adds a value: C(r, d) > C(r - 1, d)
+        r += 1
+        width = min(_count_cross(r, d), n_max) - len(values)
         entry = ApproxNumber(r, s).value()
         values.extend([entry] * width)
         bases.extend([r] * width)
-        filled += width
     return SpectrumTable(tuple(values), WeightKind.sharp(s), d, "exact",
                          radius=None, bases=tuple(bases))
 
@@ -461,27 +458,3 @@ def verify_weight_domination(pair: tuple[WeightKind, WeightKind], d: int,
             break
     return DominationReport(source, target, d, regime, counterexample is None,
                             checked, counterexample, factor)
-
-
-def spectrum_record(table: SpectrumTable) -> dict[str, object]:
-    """JSON-ready payload for a spectrum table."""
-    record: dict[str, object] = {
-        "kind": table.kind.label(),
-        "d": table.d,
-        "certification": table.certification,
-        "values": list(table.values),
-    }
-    if table.radius is not None:
-        record["radius"] = table.radius
-    return record
-
-
-def write_spectrum_csv(path_or_file, table: SpectrumTable) -> int:
-    """CSV rows ``n,sigma[,r]`` in table order; returns the row count."""
-    if table.bases is None:
-        return _write_csv(path_or_file, ["n", "sigma"],
-                          ([i, repr(value)]
-                           for i, value in enumerate(table.values, start=1)))
-    return _write_csv(path_or_file, ["n", "sigma", "r"],
-                      ([i, repr(value), r] for i, (value, r)
-                       in enumerate(zip(table.values, table.bases), start=1)))

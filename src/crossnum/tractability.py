@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._checks import REL_TOL, integer, positive, unit_interval
-from .combinatorics import _write_csv, count_cross
+from .combinatorics import count_cross
 from .errors import ResourceLimitError
 from .spectra import WeightKind, _best_first
 
@@ -186,25 +186,3 @@ def qpt_certify(s: float, d_grid: Sequence[int], eps_grid: Sequence[float],
     return QptCertificate(float(s), t, c_t, tuple(grid),
                           not violations, tuple(violations), worst, slack,
                           tuple(per_point_t))
-
-
-def certificate_record(cert: QptCertificate) -> dict[str, object]:
-    """JSON-ready payload for a quasi-polynomial certificate."""
-    return {
-        "s": cert.s,
-        "t": cert.t,
-        "C_t": cert.c_t,
-        "grid": [[eps, d] for eps, d in cert.grid],
-        "pass": cert.passed,
-        "violations": [[eps, d] for eps, d in cert.violations],
-        "worst_point": list(cert.worst_point),
-        "slack": cert.slack,
-        "per_point_t": list(cert.per_point_t),
-    }
-
-
-def write_complexity_csv(path_or_file,
-                         rows: Sequence[tuple[float, int, int]]) -> int:
-    """CSV rows ``eps,d,n`` (n as a decimal string; it can be huge)."""
-    return _write_csv(path_or_file, ["eps", "d", "n"],
-                      ([repr(float(eps)), d, str(n)] for eps, d, n in rows))

@@ -1,5 +1,4 @@
 import decimal
-import io
 import math
 
 import pytest
@@ -8,8 +7,7 @@ from crossnum import (BoundFormula, alpha_exponent, asymptotic_constant,
                       bound_value, count_cross, exact_an_sharp, formula_info,
                       limit_ratio_trace, rearranged_spectrum, verify_bound)
 from crossnum._checks import REL_TOL
-from crossnum.bounds import (TOLERANCE, formula_from_name, report_record,
-                             write_trace_csv)
+from crossnum.bounds import TOLERANCE
 from crossnum.spectra import WeightKind
 
 UPPER_SHARP = (BoundFormula.SHARP_UPPER_43, BoundFormula.TENSOR_TRICK_45,
@@ -130,9 +128,9 @@ def test_bound_value_log_space_survives_huge_n():
 
 
 def test_formula_lookup_and_info():
-    assert formula_from_name("sharp-upper-43") is BoundFormula.SHARP_UPPER_43
+    assert BoundFormula("sharp-upper-43") is BoundFormula.SHARP_UPPER_43
     with pytest.raises(ValueError):
-        formula_from_name("nope")
+        BoundFormula("nope")
     assert formula_info(BoundFormula.PLUS_LOWER_49).side == "lower"
     assert formula_info(BoundFormula.SHARP_LOWER_REMARK).experimental
 
@@ -332,20 +330,6 @@ def test_limit_ratio_trace_monotone_towards_constant():
 def test_limit_ratio_trace_validation():
     with pytest.raises(ValueError):
         limit_ratio_trace(2, 1.0, [1])
-
-
-def test_report_record_and_trace_csv():
-    report = verify_bound(BoundFormula.SHARP_UPPER_43, 2, 1.0, [729, 1000])
-    record = report_record(report)
-    assert record["formula"] == "sharp-upper-43"
-    assert record["pass"] is True
-    assert record["violations"] == []
-    buffer = io.StringIO()
-    rows = limit_ratio_trace(2, 1.0, [100, 1000])
-    assert write_trace_csv(buffer, 2, 1.0, rows) == 2
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "n,ratio,constant"
-    assert lines[1].startswith("1529,") and lines[1].endswith(",4.0")
 
 
 def test_one_relative_tolerance():

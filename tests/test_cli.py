@@ -79,12 +79,23 @@ def test_spectrum_table_csv_bytes(capsys):
     assert out == "n,sigma,r\n1,1.0,1\n2,0.5,2\n3,0.5,2\n4,0.5,2\n5,0.5,2\n"
 
 
+def test_spectrum_enumerated_table_csv_bytes(capsys):
+    code, out, _ = run(capsys, "spectrum", "--kind", "plus", "--d", "2",
+                       "--s", "1", "--nmax", "6", "--format", "csv")
+    assert code == EXIT_OK
+    assert out == ("n,sigma\n1,1.0\n"
+                   + "".join(f"{n},0.7071067811865475\n" for n in range(2, 6))
+                   + "6,0.4999999999999999\n")
+
+
 def test_spectrum_table_json_round_trip(capsys):
     code, out, _ = run(capsys, "spectrum", "--kind", "star", "--d", "2",
                        "--s", "0.7", "--nmax", "9")
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["kind"] == "star(0.7)" and payload["d"] == 2
+    assert payload["certification"] == "enumerated-certified"
+    assert payload["radius"] == 3
     values = payload["values"]
     assert len(values) == 9 and values[0] == 1.0
     assert values == sorted(values, reverse=True)
@@ -152,6 +163,15 @@ def test_verify_qpt_default_pair(capsys):
     assert payload["t"] == 8.0
     assert payload["C_t"] == pytest.approx(math.exp(2.0))
     assert payload["slack"] == pytest.approx(-10.696, abs=1e-3)
+    code, out, _ = run(capsys, "verify", "--formula", "qpt", "--s", "2",
+                       "--d-grid", "1,4", "--eps-grid", "0.5,0.1")
+    assert code == EXIT_OK
+    assert '"grid":[[0.5,1],[0.1,1],[0.5,4],[0.1,4]]' in out
+    assert '"worst_point":[0.5,1]' in out and '"violations":[]' in out
+    payload = json.loads(out)
+    assert payload["s"] == 2.0 and payload["t"] == 4.0
+    assert payload["C_t"] == pytest.approx(math.exp(2.0))
+    assert payload["pass"] is True and len(payload["per_point_t"]) == 4
 
 
 def test_verify_qpt_weak_pair_fails(capsys):

@@ -1,4 +1,3 @@
-import io
 import math
 import random
 from fractions import Fraction
@@ -8,8 +7,7 @@ import pytest
 from crossnum import (CrossSpec, GeneralizedWeightSeq, ResourceLimitError,
                       count_cross, count_cross_bruteforce, count_generalized,
                       count_positive, enumerate_cross, enumerate_dyadic_cross,
-                      enumeration_guard, volume_bounds, volume_exact,
-                      write_cross_csv)
+                      enumeration_guard, volume_bounds, volume_exact)
 from crossnum.combinatorics import GUARD_ENV_VAR, _count_cross
 
 
@@ -323,22 +321,3 @@ def test_cross_spec_validation_and_helpers():
         CrossSpec(0, 2)
     with pytest.raises(ValueError):
         CrossSpec(3, -1)
-
-
-def test_write_cross_csv_layout():
-    buffer = io.StringIO()
-    rows = write_cross_csv(buffer, 2, 2)
-    assert rows == 5
-    assert buffer.getvalue() == (
-        "k_1,k_2,product\n"
-        "0,0,1\n"
-        "-1,0,2\n"
-        "0,-1,2\n"
-        "0,1,2\n"
-        "1,0,2\n")
-
-
-def test_write_cross_csv_guard(tmp_path):
-    with pytest.raises(ResourceLimitError):
-        write_cross_csv(tmp_path / "never.csv", 10 ** 6, 2, max_enum=100)
-    assert not (tmp_path / "never.csv").exists()

@@ -1,14 +1,12 @@
-import io
 import math
 from fractions import Fraction
 
 import pytest
 
 from crossnum import (CoefficientModel, ResourceLimitError, count_cross,
-                      enumerate_cross, error_report, exact_an_sharp,
-                      optimal_truncation, truncation_error,
-                      worst_case_witness)
-from crossnum.fourier import TruncationOperator, _tail_bound, write_index_csv
+                      enumerate_cross, exact_an_sharp, optimal_truncation,
+                      truncation_error, worst_case_witness)
+from crossnum.fourier import TruncationOperator, _tail_bound
 
 
 def product_weight(k):
@@ -149,25 +147,6 @@ def test_complex_coefficients_accepted():
     op = optimal_truncation(5, 1, 1.0)
     real = saturating_model()
     assert truncation_error(model, op, 50) == truncation_error(real, op, 50)
-
-
-# -- reports and exports ------------------------------------------------------
-
-def test_error_report_payload():
-    op = optimal_truncation(9, 2, 1.0)
-    report = error_report(saturating_model(), op, tail_radius=30)
-    assert report["n"] == str(op.rank + 1)
-    assert report["rank"] == str(op.rank)
-    assert report["r"] == op.r
-    assert report["worst_case"] == exact_an_sharp(op.rank + 1, 2, 1.0).value()
-    assert 0.0 < report["model_error"] < report["certified_bound"]
-
-
-def test_write_index_csv_layout():
-    op = optimal_truncation(2, 2, 1.0)  # keeps only the origin
-    buffer = io.StringIO()
-    assert write_index_csv(buffer, op) == 1
-    assert buffer.getvalue() == "k_1,k_2,product\n0,0,1\n"
 
 
 @pytest.mark.parametrize("n,d,factor", [(30, 2, 3), (400, 2, 2), (60, 3, 3),

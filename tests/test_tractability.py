@@ -1,4 +1,3 @@
-import io
 import math
 import random
 import time
@@ -10,7 +9,6 @@ from crossnum import (ComplexityEnclosure, QptCertificate, ResourceLimitError,
                       info_complexity_bounds, info_complexity_sharp,
                       qpt_certify, qpt_constants)
 from crossnum.spectra import rearranged_spectrum
-from crossnum.tractability import certificate_record, write_complexity_csv
 
 
 # -- exact sharp complexity ---------------------------------------------------
@@ -219,25 +217,3 @@ def test_weak_growth_profile_frozen():
     assert profile[16] == pytest.approx(0.318, abs=1e-3)
     assert profile[32] == pytest.approx(0.238, abs=1e-3)
     assert profile[8] > profile[16] > profile[32]
-
-
-# -- records and exports ------------------------------------------------------
-
-def test_certificate_record_round_trip():
-    cert = qpt_certify(2.0, (1, 4), (0.5, 0.1))
-    record = certificate_record(cert)
-    assert record["s"] == 2.0 and record["t"] == 4.0
-    assert record["C_t"] == pytest.approx(math.exp(2.0))
-    assert record["pass"] is True and record["violations"] == []
-    assert record["worst_point"] == list(cert.worst_point)
-    assert len(record["grid"]) == len(record["per_point_t"]) == 4
-
-
-def test_write_complexity_csv_layout():
-    buffer = io.StringIO()
-    rows = [(0.5, 2, 2), (0.1, 2, info_complexity_sharp(0.1, 2, 1.0))]
-    assert write_complexity_csv(buffer, rows) == 2
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "eps,d,n"
-    assert lines[1] == "0.5,2,2"
-    assert lines[2].startswith("0.1,2,")
