@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -8,6 +9,7 @@ from crossnum import (ComplexityEnclosure, QptCertificate, ResourceLimitError,
                       WeightKind, count_cross, exact_an_sharp,
                       info_complexity_bounds, info_complexity_sharp,
                       qpt_certify, qpt_constants)
+from crossnum.cli import _certificate_record
 from crossnum.spectra import rearranged_spectrum
 
 
@@ -217,3 +219,15 @@ def test_weak_growth_profile_frozen():
     assert profile[16] == pytest.approx(0.318, abs=1e-3)
     assert profile[32] == pytest.approx(0.238, abs=1e-3)
     assert profile[8] > profile[16] > profile[32]
+
+
+# -- records --------------------------------------------------------------------
+
+def test_certificate_record_round_trip():
+    cert = qpt_certify(2.0, (1, 4), (0.5, 0.1))
+    record = json.loads(json.dumps(_certificate_record(cert)))
+    assert record["s"] == 2.0 and record["t"] == 4.0
+    assert record["C_t"] == pytest.approx(math.exp(2.0))
+    assert record["pass"] is True and record["violations"] == []
+    assert record["worst_point"] == list(cert.worst_point)
+    assert len(record["grid"]) == len(record["per_point_t"]) == 4
