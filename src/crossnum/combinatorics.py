@@ -15,10 +15,16 @@ the support of k and the signs on it:
 
     C(r, d) = 1 + sum_{l=1}^{min(d, floor(log2 r))} 2^l binom(d, l) A(r, l)
 
-and A itself satisfies a first-coordinate recursion whose arguments are
-floor divisions of r, so grouping equal quotients into blocks keeps the
-memoised call tree small.  An independent depth-first enumerator over
-Z^d is kept alongside as an oracle for this identity.
+and A satisfies A(r, l) = sum_{u >= 2} A(r // u, l - 1), whose arguments
+are again floor quotients r // m.  One call computes the whole level
+vector (A(r, 1), ..., A(r, L)) over that quotient set: small quotients
+from prefix tables built by a divisor sieve and shared between calls,
+large ones summed level by level, split at their square roots into single
+factors and blocks of equal quotient.  A bounded cache keeps the vectors
+of recent radii, so C(r, d) for every d is a short sum with binomials.
+Before counting, the work is estimated from (r, L) and held against the
+enumeration guard.  An independent depth-first enumerator over Z^d is
+kept alongside as an oracle for this identity.
 
 All counts are exact arbitrary-precision integers.  Enumeration order is
 deterministic: points come out sorted by ``(prod_j (1 + |k_j|), k)``.
@@ -29,8 +35,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, islice
+from math import isqrt
+from operator import add, mul, sub
 from typing import Callable, Iterator
 
 from ._checks import integer, positive, radius
@@ -43,7 +54,8 @@ GUARD_ENV_VAR = "CROSSNUM_MAX_ENUM"
 
 
 def enumeration_guard(override: int | None = None) -> int:
-    """Maximum number of lattice points a single call may materialise.
+    """Maximum number of lattice points a single call may materialise,
+    and of table and sum entries a count may visit.
 
     Precedence: explicit ``override``, then the CROSSNUM_MAX_ENUM
     environment variable, then the built-in default of 10^8.
@@ -87,40 +99,212 @@ class CrossSpec:
         return enumerate_cross(self.r, self.d)
 
 
-@lru_cache(maxsize=None)
-def _positive_count(r: int, ell: int) -> int:
-    # A(r, ell); arguments repeat heavily under floor division, hence the cache.
-    if r < (1 << ell):
+_RADII_CAP = 256     # radii whose level vector is kept
+_TABLE_SIZES = 2     # table sizes T whose small-quotient tables are kept
+_FULL_TABLE = 1 << 12  # radii up to this are read straight from the tables
+_levels: dict[int, tuple[int, ...]] = {}    # r -> (A(r, 1), ..., A(r, k))
+_tables: dict[int, list[array]] = {}        # T -> [S_1, S_2, ...], S_l[n] = A(n, l)
+_counting_lock = threading.Lock()  # guards table growth and both caches' caps
+
+
+def _table_size(r: int) -> int:
+    # The least power of two T >= r^(2/3), so 8^k >= r^2; T >= sqrt(r) too.
+    # Radii up to 2^12 are read from tables reaching past them: a level of
+    # such a table visits about 2^16 entries, some 15 counts split at
+    # r^(2/3), and callers such as staircase lookups count many neighbours.
+    return max(1 << ((r * r - 1).bit_length() + 2) // 3,
+               min(1 << (r - 1).bit_length(), _FULL_TABLE))
+
+
+def _table_levels(size: int, depth: int) -> int:
+    # Levels 1..depth-1 are read from the tables; A(n, l) = 0 for all n <= T
+    # once 2^l > T, so those levels need no table.
+    return min(depth - 1, size.bit_length() - 1)
+
+
+def _sieve_work(size: int, built: int, count: int) -> int:
+    # Entries visited growing the tables on 0..T from `built` to `count`
+    # levels.  The sieve of level l visits sum_{u=2}^{n} T // u <= T ln n <
+    # T bitlen(n) entries, n = T >> (l - 1), and its differences, zeros and
+    # prefix sums 3T + 3 more.
+    return sum(size + 1 if ell == 1 else
+               size * ((size >> (ell - 1)).bit_length() + 3) + 3
+               for ell in range(built + 1, count + 1))
+
+
+def _sums_work(r: int, size: int, depth: int) -> int:
+    # Entries visited by the sums at the large quotients r // m > T: level l
+    # at r // m visits at most 2 isqrt(r // m) + 1 of them, and
+    # sum_{m <= M} 2 sqrt(r / m) <= 4 sqrt(r M); level l is summed at
+    # m = 1 even when M = 0
+    large = max(1, r // (size + 1))
+    return large + (depth - 1) * (4 * isqrt(r * large) + large + 4)
+
+
+def _counting_work(r: int, depth: int) -> int:
+    """Upper bound on the entries visited computing A(r, 1..depth).
+
+    Deterministic in (r, depth): the small tables are charged as if built
+    afresh; kept tables are only used when that costs less.
+    """
+    if depth <= 1:
         return 0
-    if ell == 1:
-        return r - 1
-    # Sum over the first factor u = 1 + k_1.  The remaining ell - 1 factors
-    # need at least 2^{ell-1}, so u <= r >> (ell - 1); consecutive u with the
-    # same quotient r // u are folded into one block.
-    cap = r >> (ell - 1)
-    total = 0
-    u = 2
-    while u <= cap:
-        q = r // u
-        u_hi = min(cap, r // q)
-        total += (u_hi - u + 1) * _positive_count(q, ell - 1)
-        u = u_hi + 1
-    return total
+    if depth == 2:
+        return isqrt(r)
+    size = _table_size(r)
+    return (_sieve_work(size, 0, _table_levels(size, depth))
+            + _sums_work(r, size, depth))
+
+
+def _next_table(tables: list[array], size: int) -> tuple[array, int]:
+    # S_l on 0..T for l = len(tables) + 1, from S_{l-1} by a divisor sieve:
+    # a_l(u k) += a_{l-1}(k) for every factor u >= 2.  Returns the table and
+    # the entries visited.  int64 holds it: A(n, l) < n^2 < 2^63 for
+    # n <= T < 2^31, and an array refuses a larger value, it never wraps.
+    if not tables:
+        return array("q", [0]) + array("q", range(size)), size + 1
+    ell = len(tables) + 1
+    prev = tables[-1]
+    step = [0]                          # a_{l-1}(n) = S_{l-1}(n) - S_{l-1}(n-1)
+    step += map(sub, islice(prev, 1, None), prev)
+    lowest = 1 << (ell - 1)             # least k with a_{l-1}(k) > 0
+    counts = [0] * (size + 1)
+    work = 3 * size + 3
+    for u in range(2, size // lowest + 1):
+        hi = size // u
+        view = slice(u * lowest, u * hi + 1, u)
+        counts[view] = map(add, counts[view], step[lowest:hi + 1])
+        work += hi - lowest + 1
+    return array("q", accumulate(counts)), work
+
+
+def _small_tables(r: int, depth: int) -> tuple[list[array], int, int]:
+    # The tables S_1, S_2, ... valid on 0..T, the split T they serve and the
+    # entries visited.  A table on 0..T' holds the one on 0..T for T <= T',
+    # and a larger split leaves fewer large quotients, so a kept larger
+    # table serves when growing it and summing with it costs the least.
+    # The largest kept table stays; the other kept size is the last used.
+    own = _table_size(r)
+    with _counting_lock:
+        best, least = own, None
+        for size in [own] + [kept for kept in _tables if kept > own]:
+            cost = (_sieve_work(size, len(_tables.get(size, ())),
+                                _table_levels(size, depth))
+                    + _sums_work(r, size, depth))
+            if least is None or cost < least:
+                best, least = size, cost
+        tables = _tables.pop(best, [])
+        _tables[best] = tables
+        if len(_tables) > _TABLE_SIZES:
+            top = max(_tables)
+            del _tables[next(size for size in _tables if size != top)]
+        count = _table_levels(best, depth)
+        work = 0
+        while len(tables) < count:
+            table, visited = _next_table(tables, best)
+            tables.append(table)
+            work += visited
+        return tables[:count], best, work
+
+
+def _level_vector(r: int, depth: int) -> tuple[tuple[int, ...], int]:
+    """(A(r, 1), ..., A(r, depth)) and the entries visited, 2 <= depth <= log2 r.
+
+    A(q, l) = sum_{u >= 2} A(q // u, l - 1), and every q // u is again a
+    floor quotient r // m.  Depth 2 is the hyperbola split of the pairs
+    u, v >= 2 at isqrt(r).  Deeper, quotients n <= T come from the tables
+    S_l(n) = A(n, l); the large quotients r // m > T, that is m <= M =
+    r // (T + 1), are summed level by level: the factors u with r // (m u)
+    still large read the level below at m u, the others split at isqrt(q)
+    into single factors and blocks of equal quotient.  The last level is
+    needed at m = 1 only.
+    """
+    s = isqrt(r)
+    if depth == 2:
+        pairs = 2 * (sum(map(r.__floordiv__, range(2, s + 1))) - (s - 1)) - (s - 1) ** 2
+        return (r - 1, pairs), s - 1
+    tables, size, work = _small_tables(r, depth)
+    large = r // (size + 1)
+    prev = [0] + [r // m - 1 for m in range(1, large + 1)]  # A(r // m, 1)
+    # with no large quotient, every level but the last is in the tables
+    levels = [r - 1] if large else [table[r] for table in tables]
+    work += large
+    for ell in range(len(levels) + 1, depth + 1):
+        table = tables[ell - 2] if ell - 2 < len(tables) else None
+        lowest = 1 << (ell - 1)  # least v with A(v, l - 1) > 0
+        top = max(1, min(large, r >> ell)) if ell < depth else 1
+        cur = [0]
+        for m in range(1, top + 1):
+            q = r // m
+            u0 = large // m      # q // u > T exactly for u <= u0
+            total = sum(prev[2 * m:m * u0 + 1:m])
+            work += u0
+            if table is not None:
+                s = isqrt(q)
+                cap = min(s, q >> (ell - 1))
+                total += sum(map(table.__getitem__,
+                                 map(q.__floordiv__, range(max(u0, 1) + 1, cap + 1))))
+                # u > s: #{u > s : q // u = v} = q // v - q // (v + 1) for
+                # v < far, and q // far - s for v = far
+                far = q // (s + 1)
+                if far >= lowest:
+                    ends = list(map(q.__floordiv__, range(lowest, far + 1)))
+                    ends.append(s)
+                    total += sum(map(mul, table[lowest:far + 1],
+                                     map(sub, ends, islice(ends, 1, None))))
+                    work += far - lowest + 2
+                work += max(0, cap - max(u0, 1))
+            cur.append(total)
+        prev = cur
+        levels.append(cur[1])
+    return tuple(levels), work
+
+
+def _positive_levels(r: int, depth: int) -> tuple[int, ...]:
+    # (A(r, 1), ..., A(r, k)) with k >= depth, for 2 <= depth <= log2 r.  A
+    # deeper depth at a kept radius computes every depth at once when the
+    # guard allows it, since callers ask one radius at many dimensions.
+    known = _levels.get(r)
+    if known is not None:
+        if len(known) >= depth:
+            return known
+        full = r.bit_length() - 1
+        if _counting_work(r, full) <= enumeration_guard():
+            depth = full
+    work = _counting_work(r, depth)
+    if work > (1 << 64):  # keep a refusal readable past any realistic guard
+        where, entries = f"a {r.bit_length()}-bit r", f"2^{work.bit_length()}"
+    else:
+        where, entries = f"r = {r}", str(work)
+    _check_guard(work, None, f"counting A(r, l) for l <= {depth} at {where} "
+                             f"visits up to {entries} entries")
+    levels = _level_vector(r, depth)[0]
+    with _counting_lock:
+        if r not in _levels and len(_levels) >= _RADII_CAP:
+            del _levels[next(iter(_levels))]
+        _levels[r] = levels
+    return levels
 
 
 def count_positive(r: int, ell: int) -> int:
     """Exact A(r, ell) = #{k in N^ell, k_j >= 1 : prod (1 + k_j) <= r}."""
-    return _positive_count(integer(r, "radius r", least=0),
-                           integer(ell, "length ell"))
+    r = integer(r, "radius r", least=0)
+    ell = integer(ell, "length ell")
+    if r.bit_length() <= ell:  # r < 2^ell
+        return 0
+    return r - 1 if ell == 1 else _positive_levels(r, ell)[ell - 1]
 
 
 @lru_cache(maxsize=1 << 16)
 def _count_cross(r: int, d: int) -> int:
     # C(r, d) for an already validated pair of ints.  Staircase lookups probe
     # the same radii for neighbouring n, hence the (bounded) memo.
+    depth = min(d, r.bit_length() - 1)  # A(r, l) = 0 once 2^l > r
+    if depth <= 1:
+        return 1 + 2 * d * (r - 1) if depth else 1
     total = 1
-    for ell in range(1, min(d, r.bit_length() - 1) + 1):  # floor(log2 r)
-        total += (1 << ell) * math.comb(d, ell) * _positive_count(r, ell)
+    for ell, count in enumerate(_positive_levels(r, depth)[:depth], 1):
+        total += (1 << ell) * math.comb(d, ell) * count
     return total
 
 

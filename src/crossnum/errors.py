@@ -4,8 +4,8 @@ from __future__ import annotations
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation needs more lattice points than the guard allows, or a
-    radius beyond double range.
+    """An operation needs more lattice points or counting work than the
+    guard allows, or a radius beyond double range.
 
     No partial result is returned and the CLI writes no ``--out`` file, so
     callers can retry with a larger ``max_enum`` (or the CROSSNUM_MAX_ENUM

@@ -207,7 +207,8 @@ def exact_an_sharp(n: int, d: int, s: float) -> ApproxNumber:
     about the counts, so a stale step, or one another caller left, only
     changes where the search starts, never its answer.  The cursor holds
     at most 64 dimensions and is cleared when a new one would exceed that;
-    the counts come from a bounded memo of C(r, d).  The arguments are
+    the counts come from a bounded memo of C(r, d), whose misses take the
+    level vector of their radius from :mod:`combinatorics`.  The arguments are
     validated once, and the probes skip the checks of :func:`count_cross`.
     """
     # the common case is tested inline; the rules coerce or refuse the rest
@@ -220,7 +221,7 @@ def exact_an_sharp(n: int, d: int, s: float) -> ApproxNumber:
         return ApproxNumber(r, s)
     # gallop to a bracket with C(lo, d) < n <= C(hi, d): from the step when
     # n is within one step width above it, else from r = 0 through powers
-    # of two, whose counts the memo shares between far-apart lookups
+    # of two, whose counts far-apart lookups find in the memo of C(r, d)
     stride = 1
     origin, lo, c_lo = (r, r, top) if top < n <= 2 * top - below else (0, 0, 0)
     while (c_hi := _count_cross(origin + stride, d)) < n:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -343,6 +344,21 @@ def test_radius_beyond_double_range_is_resource_limit(capsys):
         assert code == EXIT_RESOURCE and out == ""
         assert err.startswith("crossnum: resource limit:") and err.count("\n") == 1
 
+
+def test_counting_past_the_guard_is_resource_limit(capsys, monkeypatch):
+    # each of these counted without end before counting had a guard
+    monkeypatch.delenv("CROSSNUM_MAX_ENUM", raising=False)
+    for argv in (("count", "--r", "1000000000000", "--d", "3"),
+                 ("tract", "--kind", "star", "--d", "2", "--s", "0.01",
+                  "--eps", "0.5"),
+                 ("verify", "--formula", "qpt", "--s", "1",
+                  "--eps-grid", "1e-300", "--d-grid", "2"),
+                 ("verify", "--formula", "qpt", "--s", "1e-3", "--d-grid", "2")):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 5.0, argv
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("crossnum: resource limit:") and err.count("\n") == 1
 
 
 def test_best_first_guard_refusals(capsys):

@@ -1,14 +1,20 @@
 import math
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crossnum import (CrossSpec, GeneralizedWeightSeq, ResourceLimitError,
                       count_cross, count_cross_bruteforce, count_generalized,
                       count_positive, enumerate_cross, enumerate_dyadic_cross,
                       enumeration_guard, volume_bounds, volume_exact)
-from crossnum.combinatorics import GUARD_ENV_VAR, _count_cross
+from crossnum import combinatorics
+from crossnum.combinatorics import ENUM_GUARD_DEFAULT, GUARD_ENV_VAR, _count_cross
 
 
 # -- exact counts -----------------------------------------------------------
@@ -116,6 +122,160 @@ def test_guard_env_override(monkeypatch):
     monkeypatch.setenv(GUARD_ENV_VAR, "bogus")
     with pytest.raises(ValueError):
         enumeration_guard()
+
+
+# -- level vectors against the divisor recursion ------------------------------
+
+@lru_cache(maxsize=None)
+def _recursive_positive_count(r, ell):
+    # The former A(r, ell) of combinatorics, kept as a differential oracle:
+    # a sum over the first factor u = 1 + k_1 <= r >> (ell - 1), with
+    # consecutive u of the same quotient r // u folded into one block.
+    if r < (1 << ell):
+        return 0
+    if ell == 1:
+        return r - 1
+    cap = r >> (ell - 1)
+    total = 0
+    u = 2
+    while u <= cap:
+        q = r // u
+        u_hi = min(cap, r // q)
+        total += (u_hi - u + 1) * _recursive_positive_count(q, ell - 1)
+        u = u_hi + 1
+    return total
+
+
+def _forget_levels():
+    combinatorics._levels.clear()
+    combinatorics._tables.clear()
+    _count_cross.cache_clear()
+
+
+def _split_edges(k):
+    # radii where the table size T changes (r^2 passes 8^k) or the number
+    # of large quotients r // (T + 1) does
+    r = math.isqrt(8 ** k)
+    edges = {r - 1, r, r + 1}
+    size = combinatorics._table_size(r + 1)
+    for m in (1, 2, 3):
+        edges |= {m * (size + 1) - 1, m * (size + 1), m * (size + 1) + 1}
+    return [e for e in edges if 8 <= e <= 1 << 18]
+
+
+_EDGES = sorted({(1 << k) + e for k in range(3, 19) for e in (-1, 0, 1)}
+                | {e for k in range(2, 13) for e in _split_edges(k)}
+                | {4095, 4096, 4097})
+LEVELS = settings(max_examples=120, deadline=None, database=None, derandomize=True)
+
+
+@LEVELS
+@given(st.one_of(st.sampled_from(_EDGES), st.integers(8, 1 << 18)),
+       st.booleans(), st.booleans())
+@example(10 ** 6, True, True)
+@example((1 << 20) + 1, False, True)
+def test_level_vector_matches_recursion(r, cold, shallow_first):
+    # every depth 1..floor(log2 r), asked shallow first (the kept vector is
+    # then extended to full depth) or deepest first, on cold or warm caches
+    if cold:
+        _forget_levels()
+    full = r.bit_length() - 1
+    expected = [_recursive_positive_count(r, ell) for ell in range(1, full + 1)]
+    order = range(1, full + 1) if shallow_first else range(full, 0, -1)
+    for ell in order:
+        assert count_positive(r, ell) == expected[ell - 1], (r, ell)
+    assert combinatorics._levels[r][:full] == tuple(expected)
+    for depth in range(2, full + 1):
+        assert combinatorics._level_vector(r, depth)[0] == tuple(expected[:depth])
+
+
+def test_counting_estimate_bounds_the_work():
+    # the guard's estimate is an upper bound on the entries the loops
+    # visit, with tables built afresh and with tables kept by earlier calls;
+    # once the tables are built, the sums alone stay within their share
+    level_vector = combinatorics._level_vector
+    grid = [(r, depth) for r in (8, 100, 3000, 4096, 4097, 10 ** 4, 65537,
+                                 3 * 10 ** 5, 10 ** 6, 10 ** 7)
+            for depth in range(2, min(r.bit_length(), 9))]
+    for warm in (False, True):
+        for r, depth in grid:
+            if not warm:
+                _forget_levels()
+            work = level_vector(r, depth)[1]
+            assert 0 < work <= combinatorics._counting_work(r, depth), (r, depth, warm)
+            sums = (math.isqrt(r) if depth == 2 else
+                    combinatorics._sums_work(r, combinatorics._table_size(r), depth))
+            assert level_vector(r, depth)[1] <= sums, (r, depth, warm)
+    # a large kept table with few levels must not be grown for a small radius
+    _forget_levels()
+    level_vector(10 ** 7, 3)
+    assert level_vector(1000, 8)[1] <= combinatorics._counting_work(1000, 8)
+
+
+def test_counting_guard_refuses_before_work(monkeypatch):
+    monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as info:
+        count_cross(10 ** 12, 3)
+    assert info.value.limit == ENUM_GUARD_DEFAULT < info.value.requested
+    with pytest.raises(ResourceLimitError):
+        count_positive(2 ** 1000, 2)
+    assert time.perf_counter() - started < 5.0
+    monkeypatch.setenv(GUARD_ENV_VAR, "1000")
+    _forget_levels()
+    with pytest.raises(ResourceLimitError) as info:
+        count_cross(10 ** 5, 3)
+    assert info.value.limit == 1000 < info.value.requested
+    # depth 1 is a closed form and never held against the guard
+    monkeypatch.setenv(GUARD_ENV_VAR, "1")
+    assert count_cross(2 ** 1100, 1) == 2 ** 1101 - 1
+    assert count_cross(3, 9) == 1 + 2 * 9 * 2
+
+
+def test_counting_caches_stay_bounded():
+    # ascending radii need ever larger tables, which no kept one can serve
+    _forget_levels()
+    for r in (10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7):
+        count_cross(r, 3)
+        assert len(combinatorics._tables) <= 2
+    assert max(combinatorics._tables) == combinatorics._table_size(10 ** 7)
+    for r in range(10 ** 4, 10 ** 4 + 600):
+        count_cross(r, 4)
+    assert len(combinatorics._levels) == 256
+
+
+def test_level_caches_under_thread_switching():
+    # more threads than cores share the tables and the kept vectors, asking
+    # radii on both sides of the table floor at growing depths
+    _forget_levels()
+    radii = [r for r in range(3000, 9000, 97)]
+    expected = {(r, d): 1 + sum((1 << ell) * math.comb(d, ell) * _recursive_positive_count(r, ell)
+                                for ell in range(1, min(d, r.bit_length() - 1) + 1))
+                for r in radii for d in (3, 5, 8)}
+    errors = []
+
+    def walk(offset):
+        try:
+            for d in (3, 5, 8):
+                for r in radii[offset::3]:
+                    if count_cross(r, d) != expected[r, d]:
+                        errors.append((r, d))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(i % 3,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(combinatorics._levels) <= 256 and len(combinatorics._tables) <= 2
 
 
 # -- enumeration ------------------------------------------------------------

@@ -11,8 +11,8 @@ import threading
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crossnum import count_cross, exact_an_sharp, spectra
-from crossnum.combinatorics import _count_cross, _positive_count
+from crossnum import combinatorics, count_cross, exact_an_sharp, spectra
+from crossnum.combinatorics import _count_cross
 
 CAP = 64
 N_MAX = 10 ** 7
@@ -47,7 +47,8 @@ def _gallop_from_one(n, d, probes=None):
 def _forget():
     spectra._cursor.clear()
     _count_cross.cache_clear()
-    _positive_count.cache_clear()
+    combinatorics._levels.clear()
+    combinatorics._tables.clear()
 
 
 _dims = st.sampled_from([1, 2, 3, 4, 6, 8])
