@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 from ._checks import REL_TOL as TOLERANCE
 from ._checks import integer, positive
-from .combinatorics import count_cross
+from .combinatorics import _guard_override, count_cross
 from .spectra import SpectrumTable, WeightKind, exact_an_sharp, rearranged_spectrum
 
 _LN2 = math.log(2.0)
@@ -262,20 +262,21 @@ def verify_bound(formula: BoundFormula, d: int, s: float,
     checked = skipped = 0
     violations: list[tuple[int, float, float]] = []
     max_slack = -math.inf
-    for n in grid:
-        bound = bound_value(formula, n, d, s)
-        if bound is None:
-            skipped += 1
-            continue
-        exact = exact_at(n)
-        if info.side == "upper":
-            slack = (exact - bound) / bound
-        else:
-            slack = (bound - exact) / bound
-        checked += 1
-        max_slack = max(max_slack, slack)
-        if slack > TOLERANCE:
-            violations.append((n, exact, bound))
+    with _guard_override(max_enum):  # sharp values count crosses
+        for n in grid:
+            bound = bound_value(formula, n, d, s)
+            if bound is None:
+                skipped += 1
+                continue
+            exact = exact_at(n)
+            if info.side == "upper":
+                slack = (exact - bound) / bound
+            else:
+                slack = (bound - exact) / bound
+            checked += 1
+            max_slack = max(max_slack, slack)
+            if slack > TOLERANCE:
+                violations.append((n, exact, bound))
     return VerificationReport(formula, d, s, checked, skipped,
                               tuple(violations), max_slack)
 

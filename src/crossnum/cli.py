@@ -417,7 +417,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_ARGS if exc.code else EXIT_OK
     try:
-        return _DISPATCH[args.command](args)
+        with combinatorics._guard_override(getattr(args, "max_enum", None)):
+            return _DISPATCH[args.command](args)
     except ResourceLimitError as exc:
         print(f"crossnum: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -18,10 +18,11 @@ the support of k and the signs on it:
 and A satisfies A(r, l) = sum_{u >= 2} A(r // u, l - 1), whose arguments
 are again floor quotients r // m.  One call computes the whole level
 vector (A(r, 1), ..., A(r, L)) over that quotient set: small quotients
-from prefix tables built by a divisor sieve and shared between calls,
-large ones summed level by level, split at their square roots into single
-factors and blocks of equal quotient.  A bounded cache keeps the vectors
-of recent radii, so C(r, d) for every d is a short sum with binomials.
+from prefix tables built by a divisor sieve and shared between the calls
+of one table size, large ones summed level by level, split at their
+square roots into single factors and blocks of equal quotient.  A bounded
+cache keeps the vectors of recent radii, so C(r, d) for every d is a
+short sum with binomials.
 Before counting, the work is estimated from (r, L) and held against the
 enumeration guard.  An independent depth-first enumerator over Z^d is
 kept alongside as an oracle for this identity.
@@ -37,6 +38,8 @@ import math
 import os
 import threading
 from array import array
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
@@ -53,13 +56,19 @@ ENUM_GUARD_DEFAULT = 10 ** 8
 GUARD_ENV_VAR = "CROSSNUM_MAX_ENUM"
 
 
+_override: ContextVar[int | None] = ContextVar("max_enum", default=None)
+
+
 def enumeration_guard(override: int | None = None) -> int:
     """Maximum number of lattice points a single call may materialise,
     and of table and sum entries a count may visit.
 
-    Precedence: explicit ``override``, then the CROSSNUM_MAX_ENUM
-    environment variable, then the built-in default of 10^8.
+    Precedence: explicit ``override``, then the limit of an enclosing
+    :func:`_guard_override` block, then the CROSSNUM_MAX_ENUM environment
+    variable, then the built-in default of 10^8.
     """
+    if override is None:
+        override = _override.get()
     if override is not None:
         return integer(override, "enumeration guard max_enum")
     raw = os.environ.get(GUARD_ENV_VAR)
@@ -70,6 +79,25 @@ def enumeration_guard(override: int | None = None) -> int:
             pass  # refused below, by the same rule as the override
         return integer(raw, GUARD_ENV_VAR)
     return ENUM_GUARD_DEFAULT
+
+
+@contextmanager
+def _guard_override(max_enum: int | None) -> Iterator[None]:
+    """Hold every guard check in the block that names no limit of its own
+    against ``max_enum``; ``None`` leaves the guard as it was.
+
+    Counts reach the guard only inside the memo of C(r, d), so a caller's
+    ``max_enum`` travels to them this way.  The limit holds in the current
+    thread (or asyncio task) only.
+    """
+    if max_enum is None:
+        yield
+        return
+    token = _override.set(integer(max_enum, "enumeration guard max_enum"))
+    try:
+        yield
+    finally:
+        _override.reset(token)
 
 
 def _check_guard(requested: int, max_enum: int | None, what: str) -> None:
@@ -109,9 +137,10 @@ _counting_lock = threading.Lock()  # guards table growth and both caches' caps
 
 def _table_size(r: int) -> int:
     # The least power of two T >= r^(2/3), so 8^k >= r^2; T >= sqrt(r) too.
-    # Radii up to 2^12 are read from tables reaching past them: a level of
-    # such a table visits about 2^16 entries, some 15 counts split at
-    # r^(2/3), and callers such as staircase lookups count many neighbours.
+    # Radii up to 2^12 take the least power of two T >= r instead: no level
+    # then needs the large-quotient sums, and the radii of one power of two
+    # share their tables, as the many nearby radii of a sweep or of a run
+    # of lookups do.
     return max(1 << ((r * r - 1).bit_length() + 2) // 3,
                min(1 << (r - 1).bit_length(), _FULL_TABLE))
 
@@ -122,21 +151,21 @@ def _table_levels(size: int, depth: int) -> int:
     return min(depth - 1, size.bit_length() - 1)
 
 
-def _sieve_work(size: int, built: int, count: int) -> int:
-    # Entries visited growing the tables on 0..T from `built` to `count`
-    # levels.  The sieve of level l visits sum_{u=2}^{n} T // u <= T ln n <
-    # T bitlen(n) entries, n = T >> (l - 1), and its differences, zeros and
+def _sieve_work(size: int, count: int) -> int:
+    # Entries visited building the tables S_1..S_count on 0..T: T + 1 for
+    # S_1; the sieve of S_l visits sum_{u=2}^{n} T // u <= T ln n <
+    # T bitlen(n) entries, n = T >> (l - 1), and its differences and
     # prefix sums 3T + 3 more.
     return sum(size + 1 if ell == 1 else
                size * ((size >> (ell - 1)).bit_length() + 3) + 3
-               for ell in range(built + 1, count + 1))
+               for ell in range(1, count + 1))
 
 
 def _sums_work(r: int, size: int, depth: int) -> int:
-    # Entries visited by the sums at the large quotients r // m > T: level l
-    # at r // m visits at most 2 isqrt(r // m) + 1 of them, and
-    # sum_{m <= M} 2 sqrt(r / m) <= 4 sqrt(r M); level l is summed at
-    # m = 1 even when M = 0
+    # Entries visited by the sums at the large quotients r // m > T, m <= M
+    # = r // (T + 1): M for level 1 and, per deeper level, at most
+    # 2 isqrt(r // m) + 1 at each m, where sum_{m <= M} 2 sqrt(r / m) <=
+    # 4 sqrt(r M); each level is summed at m = 1 even when M = 0.
     large = max(1, r // (size + 1))
     return large + (depth - 1) * (4 * isqrt(r * large) + large + 4)
 
@@ -145,70 +174,54 @@ def _counting_work(r: int, depth: int) -> int:
     """Upper bound on the entries visited computing A(r, 1..depth).
 
     Deterministic in (r, depth): the small tables are charged as if built
-    afresh; kept tables are only used when that costs less.
+    afresh.
     """
     if depth <= 1:
         return 0
     if depth == 2:
         return isqrt(r)
     size = _table_size(r)
-    return (_sieve_work(size, 0, _table_levels(size, depth))
-            + _sums_work(r, size, depth))
+    return _sieve_work(size, _table_levels(size, depth)) + _sums_work(r, size, depth)
 
 
-def _next_table(tables: list[array], size: int) -> tuple[array, int]:
+def _next_table(tables: list[array], size: int) -> array:
     # S_l on 0..T for l = len(tables) + 1, from S_{l-1} by a divisor sieve:
-    # a_l(u k) += a_{l-1}(k) for every factor u >= 2.  Returns the table and
-    # the entries visited.  int64 holds it: A(n, l) < n^2 < 2^63 for
-    # n <= T < 2^31, and an array refuses a larger value, it never wraps.
+    # a_l(u k) += a_{l-1}(k) for every factor u >= 2.  int64 holds it:
+    # A(n, l) < n^2 < 2^63 for n <= T < 2^31, and an array refuses a larger
+    # value, it never wraps.
     if not tables:
-        return array("q", [0]) + array("q", range(size)), size + 1
+        return array("q", [0]) + array("q", range(size))
     ell = len(tables) + 1
     prev = tables[-1]
     step = [0]                          # a_{l-1}(n) = S_{l-1}(n) - S_{l-1}(n-1)
     step += map(sub, islice(prev, 1, None), prev)
     lowest = 1 << (ell - 1)             # least k with a_{l-1}(k) > 0
     counts = [0] * (size + 1)
-    work = 3 * size + 3
     for u in range(2, size // lowest + 1):
         hi = size // u
         view = slice(u * lowest, u * hi + 1, u)
         counts[view] = map(add, counts[view], step[lowest:hi + 1])
-        work += hi - lowest + 1
-    return array("q", accumulate(counts)), work
+    return array("q", accumulate(counts))
 
 
-def _small_tables(r: int, depth: int) -> tuple[list[array], int, int]:
-    # The tables S_1, S_2, ... valid on 0..T, the split T they serve and the
-    # entries visited.  A table on 0..T' holds the one on 0..T for T <= T',
-    # and a larger split leaves fewer large quotients, so a kept larger
-    # table serves when growing it and summing with it costs the least.
-    # The largest kept table stays; the other kept size is the last used.
-    own = _table_size(r)
+def _small_tables(r: int, depth: int) -> tuple[list[array], int]:
+    # The tables S_1, S_2, ... on 0..T, T = _table_size(r), grown one level
+    # at a time and shared by the calls of the same T; the last two sizes
+    # used are kept.
+    size = _table_size(r)
+    count = _table_levels(size, depth)
     with _counting_lock:
-        best, least = own, None
-        for size in [own] + [kept for kept in _tables if kept > own]:
-            cost = (_sieve_work(size, len(_tables.get(size, ())),
-                                _table_levels(size, depth))
-                    + _sums_work(r, size, depth))
-            if least is None or cost < least:
-                best, least = size, cost
-        tables = _tables.pop(best, [])
-        _tables[best] = tables
+        tables = _tables.pop(size, [])
+        _tables[size] = tables
         if len(_tables) > _TABLE_SIZES:
-            top = max(_tables)
-            del _tables[next(size for size in _tables if size != top)]
-        count = _table_levels(best, depth)
-        work = 0
+            del _tables[next(iter(_tables))]
         while len(tables) < count:
-            table, visited = _next_table(tables, best)
-            tables.append(table)
-            work += visited
-        return tables[:count], best, work
+            tables.append(_next_table(tables, size))
+        return tables[:count], size
 
 
-def _level_vector(r: int, depth: int) -> tuple[tuple[int, ...], int]:
-    """(A(r, 1), ..., A(r, depth)) and the entries visited, 2 <= depth <= log2 r.
+def _level_vector(r: int, depth: int) -> tuple[int, ...]:
+    """(A(r, 1), ..., A(r, depth)) for 2 <= depth <= log2 r.
 
     A(q, l) = sum_{u >= 2} A(q // u, l - 1), and every q // u is again a
     floor quotient r // m.  Depth 2 is the hyperbola split of the pairs
@@ -222,13 +235,12 @@ def _level_vector(r: int, depth: int) -> tuple[tuple[int, ...], int]:
     s = isqrt(r)
     if depth == 2:
         pairs = 2 * (sum(map(r.__floordiv__, range(2, s + 1))) - (s - 1)) - (s - 1) ** 2
-        return (r - 1, pairs), s - 1
-    tables, size, work = _small_tables(r, depth)
+        return r - 1, pairs
+    tables, size = _small_tables(r, depth)
     large = r // (size + 1)
     prev = [0] + [r // m - 1 for m in range(1, large + 1)]  # A(r // m, 1)
     # with no large quotient, every level but the last is in the tables
     levels = [r - 1] if large else [table[r] for table in tables]
-    work += large
     for ell in range(len(levels) + 1, depth + 1):
         table = tables[ell - 2] if ell - 2 < len(tables) else None
         lowest = 1 << (ell - 1)  # least v with A(v, l - 1) > 0
@@ -238,7 +250,6 @@ def _level_vector(r: int, depth: int) -> tuple[tuple[int, ...], int]:
             q = r // m
             u0 = large // m      # q // u > T exactly for u <= u0
             total = sum(prev[2 * m:m * u0 + 1:m])
-            work += u0
             if table is not None:
                 s = isqrt(q)
                 cap = min(s, q >> (ell - 1))
@@ -252,12 +263,10 @@ def _level_vector(r: int, depth: int) -> tuple[tuple[int, ...], int]:
                     ends.append(s)
                     total += sum(map(mul, table[lowest:far + 1],
                                      map(sub, ends, islice(ends, 1, None))))
-                    work += far - lowest + 2
-                work += max(0, cap - max(u0, 1))
             cur.append(total)
         prev = cur
         levels.append(cur[1])
-    return tuple(levels), work
+    return tuple(levels)
 
 
 def _positive_levels(r: int, depth: int) -> tuple[int, ...]:
@@ -278,7 +287,7 @@ def _positive_levels(r: int, depth: int) -> tuple[int, ...]:
         where, entries = f"r = {r}", str(work)
     _check_guard(work, None, f"counting A(r, l) for l <= {depth} at {where} "
                              f"visits up to {entries} entries")
-    levels = _level_vector(r, depth)[0]
+    levels = _level_vector(r, depth)
     with _counting_lock:
         if r not in _levels and len(_levels) >= _RADII_CAP:
             del _levels[next(iter(_levels))]
@@ -535,7 +544,8 @@ def count_generalized(seq: GeneralizedWeightSeq, eps, d: int, *,
     # small float headroom; the loop is the actual certificate
     while ceiling * (1.0 + 1e-9) >= eps_f * (radius + 1):
         radius *= 2
-    total = count_cross(radius, d)
+    with _guard_override(max_enum):
+        total = count_cross(radius, d)
     _check_guard(total, max_enum,
                  f"generalized count needs the {total} points of N({radius},{d})")
     count = 0

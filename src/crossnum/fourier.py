@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._checks import integer, positive
-from .combinatorics import (IndexVector, _check_guard, count_cross,
-                            enumerate_cross, volume_bounds)
+from .combinatorics import (IndexVector, _check_guard, _guard_override,
+                            count_cross, enumerate_cross, volume_bounds)
 from .spectra import ApproxNumber, exact_an_sharp
 
 
@@ -51,9 +51,10 @@ def optimal_truncation(n: int, d: int, s: float, *,
     breakpoint radius of a_n; the resulting rank C(r-1, d) is < n.
     """
     d = integer(d, "dimension d")
-    step = exact_an_sharp(n, d, s)  # validates n and s
-    r = step.r
-    rank = count_cross(r - 1, d) if r > 1 else 0
+    with _guard_override(max_enum):
+        step = exact_an_sharp(n, d, s)  # validates n and s
+        r = step.r
+        rank = count_cross(r - 1, d) if r > 1 else 0
     _check_guard(rank, max_enum, f"truncation operator keeps {rank} modes")
     indices = tuple(enumerate_cross(r - 1, d)) if r > 1 else ()
     op = TruncationOperator(indices, rank, d, step.s, r)
@@ -145,7 +146,8 @@ def truncation_error(model: CoefficientModel, op: TruncationOperator,
     if tail_radius < op.r:
         raise ValueError(
             f"tail radius {tail_radius} must reach the operator radius {op.r}")
-    total = count_cross(tail_radius, op.d)
+    with _guard_override(max_enum):
+        total = count_cross(tail_radius, op.d)
     _check_guard(total, max_enum, f"error accounting needs the {total} points "
                                   f"of N({tail_radius},{op.d})")
     # the stream is sorted by product, so its first op.rank points are the

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._checks import REL_TOL, integer, positive, unit_interval
-from .combinatorics import count_cross
+from .combinatorics import _guard_override, count_cross
 from .errors import ResourceLimitError
 from .spectra import WeightKind, _best_first
 
@@ -86,22 +86,23 @@ def info_complexity_bounds(kind: WeightKind, eps: float, d: int, *,
     """
     eps, d = unit_interval(eps, "tolerance eps"), integer(d, "dimension d")
     s = kind.s
-    if kind.family == "sharp":
-        n = info_complexity_sharp(eps, d, s)
-        return ComplexityEnclosure(n, n, n)
-    if kind.family == "plus":
-        lower = info_complexity_sharp(eps, d, s)
-        upper = info_complexity_sharp(eps, d, s / 2.0)
-    elif kind.family == "star":
-        if s >= 0.5:
+    with _guard_override(max_enum):  # the sharp complexities count
+        if kind.family == "sharp":
+            n = info_complexity_sharp(eps, d, s)
+            return ComplexityEnclosure(n, n, n)
+        if kind.family == "plus":
             lower = info_complexity_sharp(eps, d, s)
-            upper = info_complexity_sharp(eps, d, 0.5)
+            upper = info_complexity_sharp(eps, d, s / 2.0)
+        elif kind.family == "star":
+            if s >= 0.5:
+                lower = info_complexity_sharp(eps, d, s)
+                upper = info_complexity_sharp(eps, d, 0.5)
+            else:
+                lower = info_complexity_sharp(eps, d, 0.5)
+                upper = info_complexity_sharp(eps, d, s)
         else:
-            lower = info_complexity_sharp(eps, d, 0.5)
-            upper = info_complexity_sharp(eps, d, s)
-    else:
-        lower = info_complexity_sharp(eps, d, float(kind.m))
-        upper = info_complexity_sharp(eps, d, 0.5)
+            lower = info_complexity_sharp(eps, d, float(kind.m))
+            upper = info_complexity_sharp(eps, d, 0.5)
     if not exact:
         return ComplexityEnclosure(lower, upper)
     walk = _best_first(kind, d, max_enum)

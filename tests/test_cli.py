@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from crossnum import info_complexity_bounds, WeightKind
+from crossnum import combinatorics, count_cross, info_complexity_bounds, WeightKind
 from crossnum.cli import (EXIT_ARGS, EXIT_CHECK, EXIT_OK, EXIT_RESOURCE,
                           build_parser, main)
 
@@ -380,6 +380,29 @@ def test_env_guard_honored(capsys, monkeypatch):
     code, out, _ = run(capsys, "cross", "--r", "100", "--d", "2",
                        "--max-enum", "100000")
     assert code == EXIT_OK and out.count("\n") == 1530  # header + C(100, 2)
+
+
+def test_max_enum_flag_reaches_counting(capsys, monkeypatch):
+    # the flag wins over the environment for the counting guard too, both
+    # lifting and lowering it
+    def forget():
+        combinatorics._count_cross.cache_clear()
+        combinatorics._levels.clear()
+
+    monkeypatch.setenv("CROSSNUM_MAX_ENUM", "10")
+    forget()
+    code, _, err = run(capsys, "count", "--r", "200", "--d", "3")
+    assert code == EXIT_RESOURCE and "guard is 10" in err
+    forget()
+    code, out, _ = run(capsys, "count", "--r", "200", "--d", "3",
+                       "--max-enum", "100000")
+    assert code == EXIT_OK and json.loads(out)["count"] == str(count_cross(200, 3))
+    monkeypatch.delenv("CROSSNUM_MAX_ENUM")
+    forget()
+    code, _, err = run(capsys, "count", "--r", "100000", "--d", "3",
+                       "--max-enum", "1000")
+    assert code == EXIT_RESOURCE and "guard is 1000" in err
+    assert count_cross(100000, 3) > 0  # the default guard allows it
 
 
 def test_failed_run_leaves_no_out_file(capsys, tmp_path):

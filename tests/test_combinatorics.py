@@ -9,12 +9,16 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crossnum import (CrossSpec, GeneralizedWeightSeq, ResourceLimitError,
+from crossnum import (BoundFormula, CoefficientModel, CrossSpec,
+                      GeneralizedWeightSeq, ResourceLimitError, WeightKind,
                       count_cross, count_cross_bruteforce, count_generalized,
                       count_positive, enumerate_cross, enumerate_dyadic_cross,
-                      enumeration_guard, volume_bounds, volume_exact)
-from crossnum import combinatorics
-from crossnum.combinatorics import ENUM_GUARD_DEFAULT, GUARD_ENV_VAR, _count_cross
+                      enumeration_guard, info_complexity_bounds,
+                      optimal_truncation, truncation_error, verify_bound,
+                      volume_bounds, volume_exact)
+from crossnum import combinatorics, spectra
+from crossnum.combinatorics import (ENUM_GUARD_DEFAULT, GUARD_ENV_VAR, _count_cross,
+                                    _guard_override)
 
 
 # -- exact counts -----------------------------------------------------------
@@ -186,30 +190,55 @@ def test_level_vector_matches_recursion(r, cold, shallow_first):
         assert count_positive(r, ell) == expected[ell - 1], (r, ell)
     assert combinatorics._levels[r][:full] == tuple(expected)
     for depth in range(2, full + 1):
-        assert combinatorics._level_vector(r, depth)[0] == tuple(expected[:depth])
+        assert combinatorics._level_vector(r, depth) == tuple(expected[:depth])
+
+
+def _entries_visited(r, depth):
+    # The entries the loops of _level_vector visit at depth >= 3, read off
+    # their ranges, as (sieve, sums).  The sieve: S_1, then per level its
+    # differences and prefix sums and one entry per (u, k) with u k <= T.
+    # The sums: level 1 at the large quotients (with none, the tables'
+    # levels are read at r), then per level, at each m, the factors
+    # u <= u0 read from the level below, the single factors up to isqrt(q)
+    # and the blocks.
+    size = combinatorics._table_size(r)
+    levels = combinatorics._table_levels(size, depth)
+    sieve = size + 1
+    for ell in range(2, levels + 1):
+        lowest = 1 << (ell - 1)
+        sieve += 3 * size + 3 + sum(size // u - lowest + 1
+                                    for u in range(2, size // lowest + 1))
+    large = r // (size + 1)
+    sums = large or levels
+    for ell in range(2 if large else levels + 1, depth + 1):
+        lowest = 1 << (ell - 1)
+        top = max(1, min(large, r >> ell)) if ell < depth else 1
+        for m in range(1, top + 1):
+            q, u0 = r // m, large // m
+            sums += u0
+            if ell - 2 < levels:
+                s = math.isqrt(q)
+                sums += max(0, min(s, q >> (ell - 1)) - max(u0, 1))
+                far = q // (s + 1)
+                sums += max(0, far - lowest + 2)
+    return sieve, sums
 
 
 def test_counting_estimate_bounds_the_work():
-    # the guard's estimate is an upper bound on the entries the loops
-    # visit, with tables built afresh and with tables kept by earlier calls;
-    # once the tables are built, the sums alone stay within their share
-    level_vector = combinatorics._level_vector
+    # the guard's estimate bounds the entries the loops visit, the sieve's
+    # and the sums' share each; depth 2 visits isqrt(r) - 1 quotients
     grid = [(r, depth) for r in (8, 100, 3000, 4096, 4097, 10 ** 4, 65537,
                                  3 * 10 ** 5, 10 ** 6, 10 ** 7)
-            for depth in range(2, min(r.bit_length(), 9))]
-    for warm in (False, True):
-        for r, depth in grid:
-            if not warm:
-                _forget_levels()
-            work = level_vector(r, depth)[1]
-            assert 0 < work <= combinatorics._counting_work(r, depth), (r, depth, warm)
-            sums = (math.isqrt(r) if depth == 2 else
-                    combinatorics._sums_work(r, combinatorics._table_size(r), depth))
-            assert level_vector(r, depth)[1] <= sums, (r, depth, warm)
-    # a large kept table with few levels must not be grown for a small radius
-    _forget_levels()
-    level_vector(10 ** 7, 3)
-    assert level_vector(1000, 8)[1] <= combinatorics._counting_work(1000, 8)
+            for depth in range(3, min(r.bit_length(), 12))]
+    for r, depth in grid:
+        size = combinatorics._table_size(r)
+        sieve, sums = _entries_visited(r, depth)
+        sieve_bound = combinatorics._sieve_work(size, combinatorics._table_levels(size, depth))
+        sums_bound = combinatorics._sums_work(r, size, depth)
+        assert 0 < sieve <= sieve_bound and 0 < sums <= sums_bound, (r, depth)
+        assert combinatorics._counting_work(r, depth) == sieve_bound + sums_bound
+    for r in (8, 100, 10 ** 7):
+        assert combinatorics._counting_work(r, 2) >= math.isqrt(r) - 1
 
 
 def test_counting_guard_refuses_before_work(monkeypatch):
@@ -232,13 +261,49 @@ def test_counting_guard_refuses_before_work(monkeypatch):
     assert count_cross(3, 9) == 1 + 2 * 9 * 2
 
 
-def test_counting_caches_stay_bounded():
-    # ascending radii need ever larger tables, which no kept one can serve
+def test_guard_override_reaches_counting(monkeypatch):
+    # a caller's max_enum lowers or lifts the guard on counting work as it
+    # does on enumeration, and wins over the environment
+    expected = 1 + sum((1 << ell) * math.comb(3, ell) * _recursive_positive_count(10 ** 5, ell)
+                       for ell in range(1, 4))
+    monkeypatch.setenv(GUARD_ENV_VAR, "10")
     _forget_levels()
-    for r in (10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7):
+    with pytest.raises(ResourceLimitError):
+        count_cross(10 ** 5, 3)
+    with _guard_override(10 ** 7):
+        assert enumeration_guard() == 10 ** 7 and enumeration_guard(77) == 77
+        assert count_cross(10 ** 5, 3) == expected
+    assert enumeration_guard() == 10
+    monkeypatch.delenv(GUARD_ENV_VAR)
+    _forget_levels()
+    with _guard_override(50), pytest.raises(ResourceLimitError) as info:
+        count_cross(10 ** 5, 3)
+    assert info.value.limit == 50
+    # library calls pass their max_enum on to the counts they make
+    operator = optimal_truncation(5000, 3, 1.0)
+    for call in (lambda: info_complexity_bounds(WeightKind.plus(2.0), 1e-3, 3, max_enum=50),
+                 lambda: verify_bound(BoundFormula("p-squared"), 3, 1.0, [5000], max_enum=50),
+                 lambda: optimal_truncation(5000, 3, 1.0, max_enum=50),
+                 lambda: truncation_error(CoefficientModel(lambda k: 1.0, 1.0, 1.0),
+                                          operator, 3 * operator.r, max_enum=50)):
+        _forget_levels()
+        spectra._cursor.clear()  # a kept staircase step answers without counting
+        with pytest.raises(ResourceLimitError, match="counting A") as info:
+            call()
+        assert info.value.limit == 50
+    assert info_complexity_bounds(WeightKind.plus(2.0), 1e-3, 3).lower > 1
+
+
+def test_counting_caches_stay_bounded():
+    # each radius uses the tables of its own size T; the two sizes used
+    # last are kept, so 10^5 + 1, of the size of 10^5, keeps that one
+    _forget_levels()
+    for r in (10 ** 5, 10 ** 6, 10 ** 5 + 1, 10 ** 7):
         count_cross(r, 3)
         assert len(combinatorics._tables) <= 2
-    assert max(combinatorics._tables) == combinatorics._table_size(10 ** 7)
+    size = combinatorics._table_size
+    assert size(10 ** 5) == size(10 ** 5 + 1) != size(10 ** 6)
+    assert list(combinatorics._tables) == [size(10 ** 5), size(10 ** 7)]
     for r in range(10 ** 4, 10 ** 4 + 600):
         count_cross(r, 4)
     assert len(combinatorics._levels) == 256
