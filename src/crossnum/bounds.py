@@ -244,25 +244,25 @@ def verify_bound(formula: BoundFormula, d: int, s: float,
         raise ValueError("empty verification grid")
     _, d, s = _validate_args(formula, grid[0], d, s)
 
-    if info.family == "sharp":
-        exact_at: Callable[[int], float] = lambda n: exact_an_sharp(n, d, s).value()
-    else:
-        if spectrum is None:
-            kind = WeightKind(info.family, s)
-            spectrum = rearranged_spectrum(kind, d, grid[-1], max_enum=max_enum)
-        if spectrum.kind.family != info.family or spectrum.d != d \
-                or abs(spectrum.kind.s - s) > TOLERANCE * max(s, 1.0):
-            raise ValueError("spectrum table does not match the formula")
-        if len(spectrum) < grid[-1]:
-            raise ValueError(
-                f"spectrum table of length {len(spectrum)} cannot cover n = {grid[-1]}")
-        table = spectrum
-        exact_at = lambda n: table.sigma(n)
+    with _guard_override(max_enum):  # the table and the sharp values count
+        if info.family == "sharp":
+            exact_at: Callable[[int], float] = lambda n: exact_an_sharp(n, d, s).value()
+        else:
+            if spectrum is None:
+                kind = WeightKind(info.family, s)
+                spectrum = rearranged_spectrum(kind, d, grid[-1])
+            if spectrum.kind.family != info.family or spectrum.d != d \
+                    or abs(spectrum.kind.s - s) > TOLERANCE * max(s, 1.0):
+                raise ValueError("spectrum table does not match the formula")
+            if len(spectrum) < grid[-1]:
+                raise ValueError(
+                    f"spectrum table of length {len(spectrum)} cannot cover n = {grid[-1]}")
+            table = spectrum
+            exact_at = lambda n: table.sigma(n)
 
-    checked = skipped = 0
-    violations: list[tuple[int, float, float]] = []
-    max_slack = -math.inf
-    with _guard_override(max_enum):  # sharp values count crosses
+        checked = skipped = 0
+        violations: list[tuple[int, float, float]] = []
+        max_slack = -math.inf
         for n in grid:
             bound = bound_value(formula, n, d, s)
             if bound is None:

@@ -210,7 +210,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _with_meta(payload: dict[str, object], args: argparse.Namespace) -> dict[str, object]:
-    if getattr(args, "max_enum", None) is not None:
+    if args.max_enum is not None:
         payload["max_enum"] = args.max_enum
     return payload
 
@@ -234,8 +234,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                "count": str(combinatorics.count_cross(args.r, args.d))}
     code = EXIT_OK
     if args.brute:
-        brute = combinatorics.count_cross_bruteforce(args.r, args.d,
-                                                     max_enum=args.max_enum)
+        brute = combinatorics.count_cross_bruteforce(args.r, args.d)
         payload["brute"] = str(brute)
         payload["match"] = str(brute) == payload["count"]
         if not payload["match"]:
@@ -251,8 +250,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             step = spectra.exact_an_sharp(args.n, args.d, kind.s)
             payload: dict[str, object] = {"a_n": step.value(), "r": step.r}
         else:
-            table = spectra.rearranged_spectrum(kind, args.d, args.n,
-                                                max_enum=args.max_enum)
+            table = spectra.rearranged_spectrum(kind, args.d, args.n)
             payload = {"a_n": table.sigma(args.n), "kind": kind.label(),
                        "certification": table.certification,
                        "radius": table.radius}
@@ -261,8 +259,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if kind.family == "sharp":
         table = spectra.sharp_table(args.d, kind.s, args.nmax)
     else:
-        table = spectra.rearranged_spectrum(kind, args.d, args.nmax,
-                                            max_enum=args.max_enum)
+        table = spectra.rearranged_spectrum(kind, args.d, args.nmax)
     if args.format == "csv":
         _emit(_spectrum_csv(table), args.out)
     else:
@@ -326,11 +323,9 @@ def _verify_formula(formula: bounds.BoundFormula, args: argparse.Namespace,
         key = (info.family, s)
         if key not in spectrum_cache:
             kind = spectra.WeightKind(info.family, s)
-            spectrum_cache[key] = spectra.rearranged_spectrum(
-                kind, args.d, grid[-1], max_enum=args.max_enum)
+            spectrum_cache[key] = spectra.rearranged_spectrum(kind, args.d, grid[-1])
         spectrum = spectrum_cache[key]
-    return bounds.verify_bound(formula, args.d, s, grid, spectrum=spectrum,
-                               max_enum=args.max_enum)
+    return bounds.verify_bound(formula, args.d, s, grid, spectrum=spectrum)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -368,8 +363,8 @@ def _cmd_tract(args: argparse.Namespace) -> int:
         n = tractability.info_complexity_sharp(args.eps, args.d, kind.s)
         payload: dict[str, object] = {"n": str(n)}
     else:
-        enclosure = tractability.info_complexity_bounds(
-            kind, args.eps, args.d, exact=args.exact, max_enum=args.max_enum)
+        enclosure = tractability.info_complexity_bounds(kind, args.eps, args.d,
+                                                        exact=args.exact)
         payload = {"kind": kind.label(), "lower": str(enclosure.lower),
                    "upper": str(enclosure.upper)}
         if enclosure.exact is not None:
@@ -380,8 +375,7 @@ def _cmd_tract(args: argparse.Namespace) -> int:
 
 def _cmd_cross(args: argparse.Namespace) -> int:
     total = combinatorics.count_cross(args.r, args.d)
-    combinatorics._check_guard(total, args.max_enum,
-                               f"export of N({args.r},{args.d}) has {total} rows")
+    combinatorics._check_guard(total, f"export of N({args.r},{args.d}) has {total} rows")
     text, rows = _csv([f"k_{j}" for j in range(1, args.d + 1)] + ["product"],
                       (list(k) + [math.prod(1 + abs(kj) for kj in k)]
                        for k in combinatorics.enumerate_cross(args.r, args.d)))
@@ -417,7 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_ARGS if exc.code else EXIT_OK
     try:
-        with combinatorics._guard_override(getattr(args, "max_enum", None)):
+        with combinatorics._guard_override(args.max_enum):  # --max-enum applies here only
             return _DISPATCH[args.command](args)
     except ResourceLimitError as exc:
         print(f"crossnum: resource limit: {exc}", file=sys.stderr)

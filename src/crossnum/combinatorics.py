@@ -83,12 +83,14 @@ def enumeration_guard(override: int | None = None) -> int:
 
 @contextmanager
 def _guard_override(max_enum: int | None) -> Iterator[None]:
-    """Hold every guard check in the block that names no limit of its own
-    against ``max_enum``; ``None`` leaves the guard as it was.
+    """Hold every guard check in the block against ``max_enum``; ``None``
+    leaves the guard as it was.
 
-    Counts reach the guard only inside the memo of C(r, d), so a caller's
-    ``max_enum`` travels to them this way.  The limit holds in the current
-    thread (or asyncio task) only.
+    This is the one route by which a limit reaches a check: each public
+    function that takes ``max_enum`` enters this block once, around the
+    work it guards, and the CLI enters it for ``--max-enum``.  A generator
+    reads the limit when it runs, so it must be drained inside the block.
+    The limit holds in the current thread (or asyncio task) only.
     """
     if max_enum is None:
         yield
@@ -100,10 +102,10 @@ def _guard_override(max_enum: int | None) -> Iterator[None]:
         _override.reset(token)
 
 
-def _check_guard(requested: int, max_enum: int | None, what: str) -> None:
-    # The one place a request is held against the guard; ``what`` names
-    # the request, the message appends the limit.
-    limit = enumeration_guard(max_enum)
+def _check_guard(requested: int, what: str) -> None:
+    # The one place a request is held against the guard in force; ``what``
+    # names the request, the message appends the limit.
+    limit = enumeration_guard()
     if requested > limit:
         raise ResourceLimitError(f"{what}, guard is {limit}",
                                  requested=requested, limit=limit)
@@ -285,8 +287,8 @@ def _positive_levels(r: int, depth: int) -> tuple[int, ...]:
         where, entries = f"a {r.bit_length()}-bit r", f"2^{work.bit_length()}"
     else:
         where, entries = f"r = {r}", str(work)
-    _check_guard(work, None, f"counting A(r, l) for l <= {depth} at {where} "
-                             f"visits up to {entries} entries")
+    _check_guard(work, f"counting A(r, l) for l <= {depth} at {where} "
+                       f"visits up to {entries} entries")
     levels = _level_vector(r, depth)
     with _counting_lock:
         if r not in _levels and len(_levels) >= _RADII_CAP:
@@ -337,8 +339,9 @@ def count_cross_bruteforce(r: int, d: int, *, max_enum: int | None = None) -> in
     """
     spec = CrossSpec(r, d)
     estimate = _count_estimate(spec.r, spec.d)
-    _check_guard(estimate, max_enum, f"brute-force count of N({spec.r},{spec.d}) "
-                                     f"could visit about {estimate} points")
+    with _guard_override(max_enum):
+        _check_guard(estimate, f"brute-force count of N({spec.r},{spec.d}) "
+                               f"could visit about {estimate} points")
 
     def visit(budget: int, dims: int) -> int:
         if dims == 0:
@@ -426,19 +429,19 @@ def enumerate_dyadic_cross(m: int, d: int, *,
     guard is checked against the sum of box sizes before any box is built.
     """
     m, d = integer(m, "level m", least=0), integer(d, "dimension d")
-    guard = enumeration_guard(max_enum)
     n_splits = math.comb(m + d - 1, d - 1)
-    _check_guard(n_splits, guard, f"dyadic cross H({m},{d}) has {n_splits} boxes")
-    estimate = 0
-    for split in _compositions(m, d):
-        box = 1
-        for u in split:
-            box *= (1 << (u + 1)) + 1
-        estimate += box
-        if estimate > guard:  # stop summing as soon as the answer is known
-            break
-    _check_guard(estimate, guard, f"dyadic cross H({m},{d}) enumeration could "
-                                  f"touch about {estimate}+ points")
+    with _guard_override(max_enum):
+        _check_guard(n_splits, f"dyadic cross H({m},{d}) has {n_splits} boxes")
+        guard, estimate = enumeration_guard(), 0
+        for split in _compositions(m, d):
+            box = 1
+            for u in split:
+                box *= (1 << (u + 1)) + 1
+            estimate += box
+            if estimate > guard:  # stop summing as soon as the answer is known
+                break
+        _check_guard(estimate, f"dyadic cross H({m},{d}) enumeration could "
+                               f"touch about {estimate}+ points")
     points: set[IndexVector] = set()
     for split in _compositions(m, d):
         points.update(itertools.product(
@@ -546,8 +549,8 @@ def count_generalized(seq: GeneralizedWeightSeq, eps, d: int, *,
         radius *= 2
     with _guard_override(max_enum):
         total = count_cross(radius, d)
-    _check_guard(total, max_enum,
-                 f"generalized count needs the {total} points of N({radius},{d})")
+        _check_guard(total, f"generalized count needs the {total} points "
+                            f"of N({radius},{d})")
     count = 0
     for k in enumerate_cross(radius, d):
         product = None

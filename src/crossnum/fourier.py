@@ -55,7 +55,7 @@ def optimal_truncation(n: int, d: int, s: float, *,
         step = exact_an_sharp(n, d, s)  # validates n and s
         r = step.r
         rank = count_cross(r - 1, d) if r > 1 else 0
-    _check_guard(rank, max_enum, f"truncation operator keeps {rank} modes")
+        _check_guard(rank, f"truncation operator keeps {rank} modes")
     indices = tuple(enumerate_cross(r - 1, d)) if r > 1 else ()
     op = TruncationOperator(indices, rank, d, step.s, r)
     assert op.rank < n
@@ -148,8 +148,8 @@ def truncation_error(model: CoefficientModel, op: TruncationOperator,
             f"tail radius {tail_radius} must reach the operator radius {op.r}")
     with _guard_override(max_enum):
         total = count_cross(tail_radius, op.d)
-    _check_guard(total, max_enum, f"error accounting needs the {total} points "
-                                  f"of N({tail_radius},{op.d})")
+        _check_guard(total, f"error accounting needs the {total} points "
+                            f"of N({tail_radius},{op.d})")
     # the stream is sorted by product, so its first op.rank points are the
     # kept modes N(r - 1, d); fsum rounds exactly, whatever the order
     excluded = itertools.islice(enumerate_cross(tail_radius, op.d), op.rank, None)

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 from ._checks import REL_TOL, integer, positive
 from .combinatorics import (IndexVector, _check_guard, _count_cross,
-                            enumeration_guard)
+                            _guard_override, enumeration_guard)
 from .errors import UnsupportedRegimeError
 
 _FAMILIES = ("sharp", "plus", "star", "intm")
@@ -294,14 +294,13 @@ def sharp_table(d: int, s: float, n_max: int) -> SpectrumTable:
                          radius=None, bases=tuple(bases))
 
 
-def _best_first(kind: WeightKind, d: int, max_enum: int | None
-                ) -> Iterator[tuple[float, int, IndexVector]]:
+def _best_first(kind: WeightKind, d: int) -> Iterator[tuple[float, int, IndexVector]]:
     # (1/weight, 2^nnz(k), k) over k in N_0^d with 1/weight non-increasing:
     # weights are symmetric and nondecreasing in each |k_j|, in floats too,
     # so no child k + e_j (j at or past the last nonzero coordinate of k)
-    # outranks its unique parent k.  The guard bounds the vectors popped
-    # and the frontier held, the walk's work.
-    guard = enumeration_guard(max_enum)
+    # outranks its unique parent k.  The guard in force when the walk runs
+    # bounds the vectors popped and the frontier held, the walk's work.
+    guard = enumeration_guard()
     heap = [(-1.0, (0,) * d, 0)]  # (-1/weight, k, first j to increment)
     for _ in range(guard):
         key, k, first = heapq.heappop(heap)
@@ -310,10 +309,8 @@ def _best_first(kind: WeightKind, d: int, max_enum: int | None
             child = k[:j] + (k[j] + 1,) + k[j + 1:]
             heapq.heappush(heap, (-1.0 / weight(kind, child), child, j))
         if len(heap) > guard:
-            _check_guard(len(heap), guard, f"best-first frontier holds "
-                                           f"{len(heap)} vectors")
-    _check_guard(guard + 1, guard, f"best-first walk would pop {guard + 1} "
-                                   "vectors")
+            _check_guard(len(heap), f"best-first frontier holds {len(heap)} vectors")
+    _check_guard(guard + 1, f"best-first walk would pop {guard + 1} vectors")
 
 
 def rearranged_spectrum(kind: WeightKind, d: int, n_max: int, *,
@@ -327,15 +324,16 @@ def rearranged_spectrum(kind: WeightKind, d: int, n_max: int, *,
     :func:`sharp_table` and exists as a cross-check.
     """
     n_max, d = integer(n_max, "table length n_max"), integer(d, "dimension d")
-    _check_guard(n_max, max_enum, f"best-first walk for {n_max} values")
     values: list[float] = []
     radius = 1
-    for value, copies, k in _best_first(kind, d, max_enum):
-        values.extend([value] * min(copies, n_max - len(values)))
-        radius = max(radius, math.prod(1 + kj for kj in k))
-        if len(values) == n_max:
-            return SpectrumTable(tuple(values), kind, d,
-                                 "enumerated-certified", radius=radius)
+    with _guard_override(max_enum):  # the walk reads the guard as it runs
+        _check_guard(n_max, f"best-first walk for {n_max} values")
+        for value, copies, k in _best_first(kind, d):
+            values.extend([value] * min(copies, n_max - len(values)))
+            radius = max(radius, math.prod(1 + kj for kj in k))
+            if len(values) == n_max:
+                return SpectrumTable(tuple(values), kind, d,
+                                     "enumerated-certified", radius=radius)
 
 
 @dataclass(frozen=True)
@@ -447,7 +445,8 @@ def verify_weight_domination(pair: tuple[WeightKind, WeightKind], d: int,
             f"no supported comparison {source.label()} -> {target.label()}")
 
     box = (2 * sample_radius + 1) ** d
-    _check_guard(box, max_enum, f"domination check box has {box} points")
+    with _guard_override(max_enum):
+        _check_guard(box, f"domination check box has {box} points")
 
     checked = 0
     counterexample = None

@@ -86,7 +86,7 @@ def info_complexity_bounds(kind: WeightKind, eps: float, d: int, *,
     """
     eps, d = unit_interval(eps, "tolerance eps"), integer(d, "dimension d")
     s = kind.s
-    with _guard_override(max_enum):  # the sharp complexities count
+    with _guard_override(max_enum):  # for the sharp counts and the walk
         if kind.family == "sharp":
             n = info_complexity_sharp(eps, d, s)
             return ComplexityEnclosure(n, n, n)
@@ -103,15 +103,15 @@ def info_complexity_bounds(kind: WeightKind, eps: float, d: int, *,
         else:
             lower = info_complexity_sharp(eps, d, float(kind.m))
             upper = info_complexity_sharp(eps, d, 0.5)
-    if not exact:
-        return ComplexityEnclosure(lower, upper)
-    walk = _best_first(kind, d, max_enum)
-    n = 1  # sigma_upper <= eps by the enclosure; ties resolve toward a_n <= eps
-    while n < upper:
-        value, copies, _ = next(walk)
-        if value <= eps * (1.0 + REL_TOL):
-            break
-        n += copies
+        if not exact:
+            return ComplexityEnclosure(lower, upper)
+        walk = _best_first(kind, d)
+        n = 1  # sigma_upper <= eps by the enclosure; ties resolve toward a_n <= eps
+        while n < upper:
+            value, copies, _ = next(walk)
+            if value <= eps * (1.0 + REL_TOL):
+                break
+            n += copies
     return ComplexityEnclosure(lower, upper, min(n, upper))
 
 
