@@ -282,11 +282,14 @@ def _default_grid(formula: bounds.BoundFormula, d: int, rmax: int,
         if first > nmax:
             raise ValueError(
                 f"{formula.value} has no valid points below nmax = {nmax}")
+        size = nmax - first + 1
+        combinatorics._check_guard(size, f"verify grid of {size} indices")
         return list(range(first, nmax + 1))
     grid: set[int] = set()
     cap = info.cap(d) if info.cap is not None else None
     if cap is not None:
         rmax = min(rmax, 2 ** d)
+    combinatorics._check_guard(rmax, f"verify grid over {rmax} radii")
     for r in range(1, rmax + 1):
         right = combinatorics.count_cross(r, d)
         left = combinatorics.count_cross(r - 1, d) + 1 if r > 1 else 1

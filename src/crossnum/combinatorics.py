@@ -344,7 +344,7 @@ def count_cross_bruteforce(r: int, d: int, *, max_enum: int | None = None) -> in
                                f"could visit about {estimate} points")
 
     def visit(budget: int, dims: int) -> int:
-        if dims == 0:
+        if dims == 0 or budget == 1:  # only zeros are left to place
             return 1
         total = 0
         for k in range(-(budget - 1), budget):
@@ -374,12 +374,12 @@ def _shell_points(product: int, d: int) -> list[IndexVector]:
     prefix: list[int] = []
 
     def extend(remaining: int, dims_left: int) -> None:
+        if remaining == 1:  # only zeros are left to place
+            points.append(tuple(prefix) + (0,) * dims_left)
+            return
         if dims_left == 1:
-            if remaining == 1:
-                points.append(tuple(prefix) + (0,))
-            else:
-                points.append(tuple(prefix) + (-(remaining - 1),))
-                points.append(tuple(prefix) + (remaining - 1,))
+            points.append(tuple(prefix) + (-(remaining - 1),))
+            points.append(tuple(prefix) + (remaining - 1,))
             return
         for u in _divisors(remaining):
             rest = remaining // u
@@ -412,8 +412,8 @@ def enumerate_cross(r: int, d: int) -> Iterator[IndexVector]:
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     # Non-negative integer splits of `total` into `parts` ordered slots.
-    if parts == 1:
-        yield (total,)
+    if parts == 1 or total == 0:  # one slot left, or only zeros to place
+        yield (0,) * (parts - 1) + (total,)
         return
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
@@ -432,7 +432,8 @@ def enumerate_dyadic_cross(m: int, d: int, *,
     n_splits = math.comb(m + d - 1, d - 1)
     with _guard_override(max_enum):
         _check_guard(n_splits, f"dyadic cross H({m},{d}) has {n_splits} boxes")
-        guard, estimate = enumeration_guard(), 0
+        guard = enumeration_guard()
+        estimate = 0
         for split in _compositions(m, d):
             box = 1
             for u in split:

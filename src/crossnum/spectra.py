@@ -119,6 +119,14 @@ def _power(r: int, s: float, reciprocal: bool = False) -> float:
         return math.inf
 
 
+def _intm_square(level: int, m: int) -> int:
+    # v_m(l)^2 = sum_{a=0}^{m} l^(2a), in closed form for |l| >= 2
+    base = level * level
+    if base <= 1:
+        return 1 + m * base
+    return (base ** (m + 1) - 1) // (base - 1)
+
+
 def weight(kind: WeightKind, k: Sequence[int]) -> float:
     """w_kind(k).  Multiplicative over coordinates; equals 1 at k = 0.
 
@@ -142,13 +150,11 @@ def weight(kind: WeightKind, k: Sequence[int]) -> float:
         else:
             m = kind.m
             for kj in k:
-                base = kj * kj
-                acc = 1
-                power = 1
-                for _ in range(m):
-                    power *= base
-                    acc += power
-                total *= math.sqrt(acc)
+                # v_m(l)^2 >= l^(2m) >= 2^1024 here, past float range, where
+                # math.sqrt would raise the OverflowError below
+                if m * ((kj * kj).bit_length() - 1) >= 1024:
+                    return math.inf
+                total *= math.sqrt(_intm_square(kj, m))
     except OverflowError:  # every factor is >= 1, so the product overflows too
         return math.inf
     return total
@@ -185,8 +191,10 @@ class Breakpoint:
 def breakpoints_sharp(d: int, s: float, r_max: int) -> list[Breakpoint]:
     """The sharp staircase for radii 1..r_max, with exact cumulative counts."""
     d, s = integer(d, "dimension d"), positive(s, "smoothness s")
+    r_max = integer(r_max, "r_max")
+    _check_guard(r_max, f"sharp staircase for {r_max} radii")
     return [Breakpoint(r, _count_cross(r, d), ApproxNumber(r, s))
-            for r in range(1, integer(r_max, "r_max") + 1)]
+            for r in range(1, r_max + 1)]
 
 
 _CURSOR_CAP = 64  # dimensions whose last staircase step is kept
@@ -281,6 +289,7 @@ def sharp_table(d: int, s: float, n_max: int) -> SpectrumTable:
     """Exact sharp spectrum sigma_1..sigma_{n_max} from the breakpoint staircase."""
     n_max, d = integer(n_max, "table length n_max"), integer(d, "dimension d")
     s = positive(s, "smoothness s")
+    _check_guard(n_max, f"sharp table for {n_max} values")
     values: list[float] = []
     bases: list[int] = []
     r = 0
@@ -363,12 +372,8 @@ def _integer_chain_violation(m: int, radius: int) -> int | None:
     # checked in exact integer arithmetic; returns the offending l if any.
     for level in range(radius + 1):
         base = level * level
-        v_sq = 1
-        power = 1
-        for _ in range(m):
-            power *= base
-            v_sq += power
-        if 1 + power > v_sq:
+        v_sq = _intm_square(level, m)
+        if 1 + base ** m > v_sq:
             return level
         mid = (1 + base) ** m
         if v_sq > mid:

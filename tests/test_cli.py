@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from crossnum import combinatorics, count_cross, info_complexity_bounds, WeightKind
+from crossnum import count_cross, info_complexity_bounds, WeightKind
 from crossnum.cli import (EXIT_ARGS, EXIT_CHECK, EXIT_OK, EXIT_RESOURCE,
                           build_parser, main)
 
@@ -361,6 +361,41 @@ def test_counting_past_the_guard_is_resource_limit(capsys, monkeypatch):
         assert err.startswith("crossnum: resource limit:") and err.count("\n") == 1
 
 
+def test_tables_and_grids_past_the_guard_are_resource_limit(capsys, monkeypatch):
+    # each of these built its table or grid without end before the guard
+    # was checked up front
+    monkeypatch.delenv("CROSSNUM_MAX_ENUM", raising=False)
+    for argv in (("spectrum", "--kind", "sharp", "--d", "3", "--s", "1",
+                  "--nmax", "300000000"),
+                 ("verify", "--formula", "plus-upper-49", "--d", "2", "--s", "1",
+                  "--nmax", "300000000"),
+                 ("verify", "--formula", "p-squared", "--d", "2", "--s", "1",
+                  "--rmax", "1000000000")):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 5.0, argv
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("crossnum: resource limit:") and err.count("\n") == 1
+    # a capped sharp grid is checked after the clamp of rmax to 2^d
+    code, out, _ = run(capsys, "verify", "--formula", "pre-upper-46", "--d", "4",
+                       "--s", "1", "--rmax", "1000000000")
+    assert code == EXIT_OK and json.loads(out)["pass"] is True
+
+
+def test_large_dimension_and_order_end_quickly(capsys):
+    # only zeros are left to place at r = 1, and an intm weight past double
+    # range is inf without summing its powers
+    code, out, _ = run(capsys, "cross", "--r", "1", "--d", "2000")
+    assert code == EXIT_OK and out.splitlines()[1] == ",".join(["0"] * 2000 + ["1"])
+    code, out, _ = run(capsys, "count", "--r", "1", "--d", "5000", "--brute")
+    assert code == EXIT_OK and json.loads(out)["match"] is True
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "spectrum", "--kind", "intm", "--d", "2", "--m", "100000",
+                       "--n", "50")
+    assert time.perf_counter() - started < 2.0
+    assert code == EXIT_OK and json.loads(out)["a_n"] == 0.0
+
+
 def test_best_first_guard_refusals(capsys):
     # the table length exceeds the guard, or the walk pops more vectors
     # than the guard before it reaches eps
@@ -382,13 +417,9 @@ def test_env_guard_honored(capsys, monkeypatch):
     assert code == EXIT_OK and out.count("\n") == 1530  # header + C(100, 2)
 
 
-def test_max_enum_flag_reaches_counting(capsys, monkeypatch):
+def test_max_enum_flag_reaches_counting(capsys, monkeypatch, forget):
     # the flag wins over the environment for the counting guard too, both
     # lifting and lowering it
-    def forget():
-        combinatorics._count_cross.cache_clear()
-        combinatorics._levels.clear()
-
     monkeypatch.setenv("CROSSNUM_MAX_ENUM", "10")
     forget()
     code, _, err = run(capsys, "count", "--r", "200", "--d", "3")

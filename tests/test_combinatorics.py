@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import sys
@@ -14,8 +15,9 @@ from crossnum import (BoundFormula, CoefficientModel, CrossSpec,
                       count_cross, count_cross_bruteforce, count_generalized,
                       count_positive, enumerate_cross, enumerate_dyadic_cross,
                       enumeration_guard, info_complexity_bounds,
-                      optimal_truncation, truncation_error, verify_bound,
-                      volume_bounds, volume_exact)
+                      optimal_truncation, rearranged_spectrum, truncation_error,
+                      verify_bound, verify_weight_domination, volume_bounds,
+                      volume_exact)
 from crossnum import combinatorics, spectra
 from crossnum.combinatorics import (ENUM_GUARD_DEFAULT, GUARD_ENV_VAR, _count_cross,
                                     _guard_override)
@@ -150,12 +152,6 @@ def _recursive_positive_count(r, ell):
     return total
 
 
-def _forget_levels():
-    combinatorics._levels.clear()
-    combinatorics._tables.clear()
-    _count_cross.cache_clear()
-
-
 def _split_edges(k):
     # radii where the table size T changes (r^2 passes 8^k) or the number
     # of large quotients r // (T + 1) does
@@ -178,11 +174,11 @@ LEVELS = settings(max_examples=120, deadline=None, database=None, derandomize=Tr
        st.booleans(), st.booleans())
 @example(10 ** 6, True, True)
 @example((1 << 20) + 1, False, True)
-def test_level_vector_matches_recursion(r, cold, shallow_first):
+def test_level_vector_matches_recursion(forget, r, cold, shallow_first):
     # every depth 1..floor(log2 r), asked shallow first (the kept vector is
     # then extended to full depth) or deepest first, on cold or warm caches
     if cold:
-        _forget_levels()
+        forget()
     full = r.bit_length() - 1
     expected = [_recursive_positive_count(r, ell) for ell in range(1, full + 1)]
     order = range(1, full + 1) if shallow_first else range(full, 0, -1)
@@ -241,7 +237,7 @@ def test_counting_estimate_bounds_the_work():
         assert combinatorics._counting_work(r, 2) >= math.isqrt(r) - 1
 
 
-def test_counting_guard_refuses_before_work(monkeypatch):
+def test_counting_guard_refuses_before_work(monkeypatch, forget):
     monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
     started = time.perf_counter()
     with pytest.raises(ResourceLimitError) as info:
@@ -251,7 +247,7 @@ def test_counting_guard_refuses_before_work(monkeypatch):
         count_positive(2 ** 1000, 2)
     assert time.perf_counter() - started < 5.0
     monkeypatch.setenv(GUARD_ENV_VAR, "1000")
-    _forget_levels()
+    forget()
     with pytest.raises(ResourceLimitError) as info:
         count_cross(10 ** 5, 3)
     assert info.value.limit == 1000 < info.value.requested
@@ -261,13 +257,13 @@ def test_counting_guard_refuses_before_work(monkeypatch):
     assert count_cross(3, 9) == 1 + 2 * 9 * 2
 
 
-def test_guard_override_reaches_counting(monkeypatch):
+def test_guard_override_reaches_counting(monkeypatch, forget):
     # a caller's max_enum lowers or lifts the guard on counting work as it
     # does on enumeration, and wins over the environment
     expected = 1 + sum((1 << ell) * math.comb(3, ell) * _recursive_positive_count(10 ** 5, ell)
                        for ell in range(1, 4))
     monkeypatch.setenv(GUARD_ENV_VAR, "10")
-    _forget_levels()
+    forget()
     with pytest.raises(ResourceLimitError):
         count_cross(10 ** 5, 3)
     with _guard_override(10 ** 7):
@@ -275,7 +271,7 @@ def test_guard_override_reaches_counting(monkeypatch):
         assert count_cross(10 ** 5, 3) == expected
     assert enumeration_guard() == 10
     monkeypatch.delenv(GUARD_ENV_VAR)
-    _forget_levels()
+    forget()
     with _guard_override(50), pytest.raises(ResourceLimitError) as info:
         count_cross(10 ** 5, 3)
     assert info.value.limit == 50
@@ -286,18 +282,89 @@ def test_guard_override_reaches_counting(monkeypatch):
                  lambda: optimal_truncation(5000, 3, 1.0, max_enum=50),
                  lambda: truncation_error(CoefficientModel(lambda k: 1.0, 1.0, 1.0),
                                           operator, 3 * operator.r, max_enum=50)):
-        _forget_levels()
-        spectra._cursor.clear()  # a kept staircase step answers without counting
+        forget()  # a kept staircase step would answer without counting
         with pytest.raises(ResourceLimitError, match="counting A") as info:
             call()
         assert info.value.limit == 50
     assert info_complexity_bounds(WeightKind.plus(2.0), 1e-3, 3).lower > 1
 
 
-def test_counting_caches_stay_bounded():
+@lru_cache(maxsize=None)
+def _operator():
+    return optimal_truncation(5000, 3, 1.0)
+
+
+_SEQ = GeneralizedWeightSeq(lambda level: 1.0 / (1 + abs(level)), envelope=1.0)
+_MODEL = CoefficientModel(lambda k: 1.0, 1.0, 1.0)
+
+# (function, call, limit): each call is refused at that limit, by its own
+# check, by the best-first walk or by a count
+_REFUSALS = [
+    (count_cross_bruteforce, lambda **kw: count_cross_bruteforce(100, 3, **kw), 1000),
+    (enumerate_dyadic_cross, lambda **kw: enumerate_dyadic_cross(30, 4, **kw), 1000),
+    (count_generalized, lambda **kw: count_generalized(_SEQ, 1e-6, 2, **kw), 10 ** 4),
+    (rearranged_spectrum,
+     lambda **kw: rearranged_spectrum(WeightKind.plus(1.0), 2, 5000, **kw), 2000),
+    (verify_weight_domination,
+     lambda **kw: verify_weight_domination((WeightKind.sharp(2.0), WeightKind.sharp(1.0)),
+                                           3, 10, **kw), 1000),
+    (info_complexity_bounds,
+     lambda **kw: info_complexity_bounds(WeightKind.plus(1.0), 0.01, 2, exact=True, **kw), 100),
+    (info_complexity_bounds,
+     lambda **kw: info_complexity_bounds(WeightKind.plus(2.0), 1e-3, 3, **kw), 50),
+    (verify_bound,
+     lambda **kw: verify_bound(BoundFormula("plus-upper-49"), 1, 1.0, [100], **kw), 50),
+    (verify_bound,
+     lambda **kw: verify_bound(BoundFormula("p-squared"), 3, 1.0, [5000], **kw), 50),
+    (optimal_truncation, lambda **kw: optimal_truncation(10 ** 6, 2, 1.0, **kw), 100),
+    (optimal_truncation, lambda **kw: optimal_truncation(5000, 3, 1.0, **kw), 50),
+    (truncation_error, lambda **kw: truncation_error(_MODEL, _operator(), 10 ** 5, **kw), 1000),
+    (truncation_error,
+     lambda **kw: truncation_error(_MODEL, _operator(), 3 * _operator().r, **kw), 50),
+]
+
+
+@pytest.mark.parametrize("function, call, limit", _REFUSALS,
+                         ids=[f"{case[0].__name__}-{case[2]}" for case in _REFUSALS])
+def test_max_enum_equals_an_enclosing_block(function, call, limit, monkeypatch, forget):
+    # passing max_enum = L and calling inside _guard_override(L) refuse alike:
+    # same message, requested and limit; the environment reaches no check
+    _operator()
+    monkeypatch.setenv(GUARD_ENV_VAR, "7")
+    refusals = []
+    for route in ("keyword", "block"):
+        forget()  # a kept count or staircase step would answer unguarded
+        with pytest.raises(ResourceLimitError) as info:
+            if route == "keyword":
+                call(max_enum=limit)
+            else:
+                with _guard_override(limit):
+                    call()
+        refusals.append((str(info.value), info.value.requested, info.value.limit))
+    assert refusals[0] == refusals[1] and refusals[0][2] == limit
+
+
+def test_every_max_enum_parameter_is_covered():
+    # each public callable that takes max_enum is among the nine above
+    import crossnum
+
+    takers = set()
+    for name in crossnum.__all__:
+        obj = getattr(crossnum, name)
+        try:
+            parameters = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        if "max_enum" in parameters:
+            takers.add(obj)
+    assert takers == {function for function, _, _ in _REFUSALS}
+    assert len(takers) == 9
+
+
+def test_counting_caches_stay_bounded(forget):
     # each radius uses the tables of its own size T; the two sizes used
     # last are kept, so 10^5 + 1, of the size of 10^5, keeps that one
-    _forget_levels()
+    forget()
     for r in (10 ** 5, 10 ** 6, 10 ** 5 + 1, 10 ** 7):
         count_cross(r, 3)
         assert len(combinatorics._tables) <= 2
@@ -309,10 +376,10 @@ def test_counting_caches_stay_bounded():
     assert len(combinatorics._levels) == 256
 
 
-def test_level_caches_under_thread_switching():
+def test_level_caches_under_thread_switching(forget):
     # more threads than cores share the tables and the kept vectors, asking
     # radii on both sides of the table floor at growing depths
-    _forget_levels()
+    forget()
     radii = [r for r in range(3000, 9000, 97)]
     expected = {(r, d): 1 + sum((1 << ell) * math.comb(d, ell) * _recursive_positive_count(r, ell)
                                 for ell in range(1, min(d, r.bit_length() - 1) + 1))
@@ -393,6 +460,17 @@ def test_enumerate_dyadic_cross_union_structure():
 def test_enumerate_dyadic_cross_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_dyadic_cross(30, 4, max_enum=1000)
+
+
+def test_trailing_zeros_end_the_recursion():
+    # with only zeros left to place, the recursions stop at once, so a
+    # dimension far past the recursion limit still ends
+    assert list(enumerate_cross(1, 3000)) == [(0,) * 3000]
+    assert count_cross_bruteforce(1, 5000) == 1
+    with pytest.raises(ResourceLimitError):  # 3^5000 points in its one box
+        enumerate_dyadic_cross(0, 5000)
+    operator = optimal_truncation(3, 2000, 1.0)
+    assert operator.rank == 1 and operator.indices == ((0,) * 2000,)
 
 
 def test_dyadic_cross_nested_in_cross():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from crossnum import (BoundFormula, CrossSpec, ResourceLimitError,
                       qpt_constants, rearranged_spectrum, sharp_table,
                       tractability, verify_weight_domination, volume_exact,
                       weight)
+from crossnum import spectra
 from crossnum.spectra import ApproxNumber, SpectrumTable
 
 
@@ -39,6 +41,41 @@ def test_weight_integer_m_squares_to_power_sum():
                 pytest.approx(m + 1, rel=1e-14)
     assert weight(WeightKind.integer_m(2), (3,)) ** 2 == \
         pytest.approx(1 + 9 + 81, rel=1e-14)
+
+
+def _intm_weight_by_sum(m, k):
+    # the power sum term by term, as the weight once formed it
+    total = 1.0
+    try:
+        for kj in k:
+            total *= math.sqrt(sum((kj * kj) ** a for a in range(m + 1)))
+    except OverflowError:
+        return math.inf
+    return total
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 37, 341, 342, 511, 512, 1100])
+def test_weight_integer_m_is_the_power_sum_bit_for_bit(m):
+    # the closed form reaches math.sqrt as the same integer, and a weight
+    # past double range is inf on both sides of the early return
+    for level in range(-40, 41):
+        assert weight(WeightKind.integer_m(m), (level, 1)) == \
+            _intm_weight_by_sum(m, (level, 1)), level
+
+
+def test_intm_square_is_the_power_sum():
+    for m in (1, 2, 5):
+        for level in range(-299, 300):
+            assert spectra._intm_square(level, m) == \
+                sum(level ** (2 * a) for a in range(m + 1)), (m, level)
+
+
+def test_weight_integer_m_of_huge_order_is_quick():
+    started = time.perf_counter()
+    kind = WeightKind.integer_m(100_000)
+    assert weight(kind, (0, 1)) == math.sqrt(100_001)
+    assert weight(kind, (2, 0)) == weight(kind, (-300, 7)) == math.inf
+    assert time.perf_counter() - started < 1.0
 
 
 def test_weight_families_coincide_where_they_should():
@@ -172,6 +209,18 @@ def test_exact_an_sharp_values_are_log_space():
         exact_an_sharp(0, 2, 1.0)
     with pytest.raises(ValueError):
         exact_an_sharp(5, 2, -1.0)
+
+
+def test_sharp_tables_check_the_guard_up_front():
+    # the request is refused before any count or table entry is made
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as info:
+        sharp_table(3, 1.0, 3 * 10 ** 8)
+    assert info.value.requested == 3 * 10 ** 8
+    with pytest.raises(ResourceLimitError) as info:
+        breakpoints_sharp(3, 1.0, 10 ** 9)
+    assert info.value.requested == 10 ** 9
+    assert time.perf_counter() - started < 1.0
 
 
 def test_breakpoints_sharp_structure():

@@ -11,7 +11,7 @@ import threading
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crossnum import combinatorics, count_cross, exact_an_sharp, spectra
+from crossnum import count_cross, exact_an_sharp, spectra
 from crossnum.combinatorics import _count_cross
 
 CAP = 64
@@ -42,13 +42,6 @@ def _gallop_from_one(n, d, probes=None):
         else:
             hi = mid
     return hi
-
-
-def _forget():
-    spectra._cursor.clear()
-    _count_cross.cache_clear()
-    combinatorics._levels.clear()
-    combinatorics._tables.clear()
 
 
 _dims = st.sampled_from([1, 2, 3, 4, 6, 8])
@@ -97,17 +90,17 @@ def test_cursor_keeps_only_true_steps(lookups):
 
 @settings(PROPERTY, max_examples=25)
 @given(_lookups, st.floats(0.1, 8.0))
-def test_cursor_cold_and_warm_agree(lookups, s):
-    _forget()
+def test_cursor_cold_and_warm_agree(forget, lookups, s):
+    forget()
     cold = [exact_an_sharp(n, d, s) for n, d in lookups]
     warm = [exact_an_sharp(n, d, s) for n, d in lookups]
     backwards = [exact_an_sharp(n, d, s) for n, d in reversed(lookups)]
     assert cold == warm == backwards[::-1]
 
 
-def test_cursor_cap_is_fixed():
+def test_cursor_cap_is_fixed(forget):
     assert spectra._CURSOR_CAP == CAP
-    _forget()
+    forget()
     for d in range(1, 3 * CAP + 1):
         exact_an_sharp(10, d, 1.0)
         assert 1 <= len(spectra._cursor) <= CAP
@@ -140,10 +133,10 @@ def test_lookup_probes_near_and_far_from_the_step(d, monkeypatch):
         assert calls == expected, n
 
 
-def test_cursor_answers_stay_true_under_thread_switching():
+def test_cursor_answers_stay_true_under_thread_switching(forget):
     # more threads than cores, switching often, storing steps for fresh
     # dimensions so the cap is hit and cleared while the others store
-    _forget()
+    forget()
     errors = []
 
     def walk(first):
@@ -174,7 +167,7 @@ def test_cursor_answers_stay_true_under_thread_switching():
         assert (below, top) == (_count(r - 1, d), _count(r, d))
 
 
-def test_cap_holds_when_two_threads_store_at_once(monkeypatch):
+def test_cap_holds_when_two_threads_store_at_once(monkeypatch, forget):
     # the cursor is one entry short of its cap and two threads store a new
     # dimension each.  Reading the size waits for the other thread to read
     # it too: unguarded, both would see room, skip the clear and store, one
@@ -191,7 +184,7 @@ def test_cap_holds_when_two_threads_store_at_once(monkeypatch):
                 pass
             return size
 
-    _forget()
+    forget()
     cursor = Meeting((d, (1, 0, 1)) for d in range(1, CAP))
     monkeypatch.setattr(spectra, "_cursor", cursor)
     radii = {}
