@@ -18,7 +18,7 @@ from crossnum import (BoundFormula, CoefficientModel, CrossSpec,
                       optimal_truncation, rearranged_spectrum, truncation_error,
                       verify_bound, verify_weight_domination, volume_bounds,
                       volume_exact)
-from crossnum import combinatorics, spectra
+from crossnum import combinatorics
 from crossnum.combinatorics import (ENUM_GUARD_DEFAULT, GUARD_ENV_VAR, _count_cross,
                                     _guard_override)
 
