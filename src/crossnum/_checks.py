@@ -1,8 +1,9 @@
 """The package's argument rules and its relative tolerance.
 
 The paper's objects are defined for finite smoothness s > 0, integers
-d, n, r >= 1, finite real radii >= 1 and tolerances 0 < eps < 1.  Each
-rule below states one of these once: it returns the argument coerced to
+d, n, r >= 1, finite real radii >= 1, tolerances 0 < eps < 1 and the four
+weight families named in ``FAMILIES``.  Each rule below states one of
+these once: it returns the argument coerced to
 the type the package computes with, or raises ``ValueError`` naming the
 argument.
 """
@@ -13,6 +14,7 @@ import math
 import operator
 
 REL_TOL = 1e-12  # relative slack of every float comparison in the package
+FAMILIES = ("sharp", "plus", "star", "intm")  # the weight families, by CLI name
 
 
 def integer(value, name: str, least: int = 1) -> int:

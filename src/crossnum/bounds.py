@@ -13,15 +13,17 @@ outside the validity range and raises only for nonsensical arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ._checks import REL_TOL as TOLERANCE
 from ._checks import integer, positive
+from ._record import Record, setfield
 from .combinatorics import _guard_override, count_cross
-from .spectra import SpectrumTable, WeightKind, exact_an_sharp, rearranged_spectrum
+
+if TYPE_CHECKING:
+    from .spectra import SpectrumTable
 
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
@@ -77,8 +79,11 @@ def _pre_cap(d: int) -> int:
     return (d * 4 ** d) // 2
 
 
-@dataclass(frozen=True)
-class FormulaInfo:
+def _from_1(d: int) -> int:
+    return 1
+
+
+class FormulaInfo(Record):
     """What a formula bounds and where it holds.
 
     At dimension d the formula is valid for ``first(d) <= n``, and also
@@ -86,12 +91,23 @@ class FormulaInfo:
     ``min_d``.
     """
 
+    __slots__ = ("side", "family", "experimental", "first", "cap", "min_d")
     side: str          # "upper" | "lower" | "constant"
     family: str        # weight family whose spectrum the formula bounds
-    experimental: bool = False
-    first: Callable[[int], int] = lambda d: 1
-    cap: Callable[[int], int] | None = None
-    min_d: int = 1
+    experimental: bool
+    first: Callable[[int], int]
+    cap: Callable[[int], int] | None
+    min_d: int
+
+    def __init__(self, side: str, family: str, experimental: bool = False,
+                 first: Callable[[int], int] = _from_1,
+                 cap: Callable[[int], int] | None = None, min_d: int = 1) -> None:
+        setfield(self, "side", side)
+        setfield(self, "family", family)
+        setfield(self, "experimental", experimental)
+        setfield(self, "first", first)
+        setfield(self, "cap", cap)
+        setfield(self, "min_d", min_d)
 
 
 _INFO = {
@@ -202,8 +218,7 @@ def bound_value(formula: BoundFormula, n: int, d: int, s: float) -> float | None
     return math.exp(_log_value(formula, n, d, s))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of checking one formula against exact spectra on an n grid.
 
     ``max_slack`` is the most adverse signed relative margin seen over the
@@ -212,6 +227,7 @@ class VerificationReport:
     a violation.  ``skipped`` counts grid points outside the validity range.
     """
 
+    __slots__ = ("formula", "d", "s", "checked", "skipped", "violations", "max_slack")
     formula: BoundFormula
     d: int
     s: float
@@ -219,6 +235,17 @@ class VerificationReport:
     skipped: int
     violations: tuple[tuple[int, float, float], ...]  # (n, exact, bound)
     max_slack: float
+
+    def __init__(self, formula: BoundFormula, d: int, s: float, checked: int,
+                 skipped: int, violations: tuple[tuple[int, float, float], ...],
+                 max_slack: float) -> None:
+        setfield(self, "formula", formula)
+        setfield(self, "d", d)
+        setfield(self, "s", s)
+        setfield(self, "checked", checked)
+        setfield(self, "skipped", skipped)
+        setfield(self, "violations", violations)
+        setfield(self, "max_slack", max_slack)
 
     @property
     def passed(self) -> bool:
@@ -236,6 +263,10 @@ def verify_bound(formula: BoundFormula, d: int, s: float,
     spectrum.  Pass ``spectrum`` to share one table across several
     formulas; otherwise a table covering max(n_grid) is computed here.
     """
+    # imported here: the CLI's parser reads this module, and the commands
+    # that never check a bound do not need the spectra
+    from .spectra import WeightKind, exact_an_sharp, rearranged_spectrum
+
     info = _INFO[formula]
     if info.side == "constant":
         raise ValueError(f"{formula.value} is not a pointwise bound")

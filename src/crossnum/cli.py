@@ -6,8 +6,14 @@ formulas and quasi-polynomial certificates against exact spectra),
 ``tract`` (information complexity), ``cross`` (index-set CSV export) and
 ``trace`` (limit-ratio traces).
 
-The library returns dataclasses; this module alone formats output, in
-the JSON payloads and the CSV tables below.
+The library returns immutable records: ``__slots__`` classes, not
+dataclasses, so ``dataclasses.replace``, ``asdict`` and ``fields`` do
+not apply to them.  This module alone formats output, in the JSON
+payloads and the CSV tables below.  Like the lazy package namespace,
+it loads layers only when they run: the parser and :func:`main` need
+only ``bounds`` and ``combinatorics``, and each command imports the
+further layers it uses, so ``count`` and ``cross`` never load the
+spectra.
 
 Output is byte-stable: JSON is compact with sorted keys, CSV uses fixed
 headers and bare newlines, floats print as their shortest round-trip
@@ -26,18 +32,19 @@ import io
 import json
 import math
 import sys
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import bounds, combinatorics, spectra, tractability
-from ._checks import integer
+from . import bounds, combinatorics
+from ._checks import FAMILIES, integer
 from .errors import ResourceLimitError
+
+if TYPE_CHECKING:
+    from . import spectra, tractability
 
 EXIT_OK = 0
 EXIT_ARGS = 2
 EXIT_CHECK = 3
 EXIT_RESOURCE = 4
-
-_SPECTRUM_KINDS = spectra._FAMILIES
 
 
 def _positive_int(text: str) -> int:
@@ -82,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_count)
 
     p_spec = sub.add_parser("spectrum", help="approximation numbers")
-    p_spec.add_argument("--kind", choices=_SPECTRUM_KINDS, required=True)
+    p_spec.add_argument("--kind", choices=FAMILIES, required=True)
     p_spec.add_argument("--d", type=_positive_int, required=True)
     p_spec.add_argument("--s", type=float)
     p_spec.add_argument("--m", type=_positive_int)
@@ -114,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
 
     p_tract = sub.add_parser("tract", help="information complexity n(eps, d)")
-    p_tract.add_argument("--kind", choices=_SPECTRUM_KINDS, required=True)
+    p_tract.add_argument("--kind", choices=FAMILIES, required=True)
     p_tract.add_argument("--d", type=_positive_int, required=True)
     p_tract.add_argument("--s", type=float)
     p_tract.add_argument("--m", type=_positive_int)
@@ -216,6 +223,8 @@ def _with_meta(payload: dict[str, object], args: argparse.Namespace) -> dict[str
 
 
 def _resolve_kind(args: argparse.Namespace) -> spectra.WeightKind:
+    from . import spectra
+
     if args.kind == "intm":
         if args.m is None:
             raise ValueError("--kind intm requires --m")
@@ -244,6 +253,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    from . import spectra
+
     kind = _resolve_kind(args)
     if args.n is not None:
         if kind.family == "sharp":
@@ -309,6 +320,8 @@ def _default_grid(formula: bounds.BoundFormula, d: int, rmax: int,
 
 def _verify_formula(formula: bounds.BoundFormula, args: argparse.Namespace,
                     spectrum_cache: dict) -> bounds.VerificationReport:
+    from . import spectra
+
     info = bounds.formula_info(formula)
     if info.family == "intm":
         if args.m is None:
@@ -332,6 +345,8 @@ def _verify_formula(formula: bounds.BoundFormula, args: argparse.Namespace,
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import tractability
+
     if args.formula == "qpt":
         if args.s is None:
             raise ValueError("verify --formula qpt requires --s")
@@ -361,6 +376,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_tract(args: argparse.Namespace) -> int:
+    from . import tractability
+
     kind = _resolve_kind(args)
     if kind.family == "sharp":
         n = tractability.info_complexity_sharp(args.eps, args.d, kind.s)

@@ -40,7 +40,6 @@ import threading
 from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
 from math import isqrt
@@ -48,6 +47,7 @@ from operator import add, mul, sub
 from typing import Callable, Iterator
 
 from ._checks import integer, positive, radius
+from ._record import Record, setfield
 from .errors import ResourceLimitError
 
 IndexVector = tuple[int, ...]
@@ -111,16 +111,16 @@ def _check_guard(requested: int, what: str) -> None:
                                  requested=requested, limit=limit)
 
 
-@dataclass(frozen=True)
-class CrossSpec:
+class CrossSpec(Record):
     """A validated (radius, dimension) pair describing N(r, d)."""
 
+    __slots__ = ("r", "d")
     r: int
     d: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", integer(self.r, "radius r"))
-        object.__setattr__(self, "d", integer(self.d, "dimension d"))
+    def __init__(self, r: int, d: int) -> None:
+        setfield(self, "r", integer(r, "radius r"))
+        setfield(self, "d", integer(d, "dimension d"))
 
     def count(self) -> int:
         return _count_cross(self.r, self.d)
@@ -321,7 +321,7 @@ def _count_cross(r: int, d: int) -> int:
 
 def count_cross(r: int, d: int) -> int:
     """Exact C(r, d) = #N(r, d) via the support-and-signs identity."""
-    return CrossSpec(r, d).count()
+    return _count_cross(integer(r, "radius r"), integer(d, "dimension d"))
 
 
 def _count_estimate(r: int, d: int) -> int:
@@ -370,31 +370,38 @@ def _divisors(n: int) -> tuple[int, ...]:
 
 def _shell_points(product: int, d: int) -> list[IndexVector]:
     # All k in Z^d with prod (1 + |k_j|) == product, in ascending tuple order.
+    # Only the nonzero coordinates are placed, each taking a factor u >= 2
+    # of what remains, so the recursion is at most log2(product) deep
+    # whatever d is.  The points come out in tuple order without a sort:
+    # of the points that are zero before `start`, those whose first nonzero
+    # coordinate is negative come first, the nearer it is to `start` the
+    # earlier; the positive ones come last, the nearer the later; at one
+    # position they go by that coordinate's value, then by the rest.
     points: list[IndexVector] = []
-    prefix: list[int] = []
+    k = [0] * d
+    last = d - 1
 
-    def extend(remaining: int, dims_left: int) -> None:
+    def place(remaining: int, start: int) -> None:
         if remaining == 1:  # only zeros are left to place
-            points.append(tuple(prefix) + (0,) * dims_left)
+            points.append(tuple(k))
             return
-        if dims_left == 1:
-            points.append(tuple(prefix) + (-(remaining - 1),))
-            points.append(tuple(prefix) + (remaining - 1,))
-            return
-        for u in _divisors(remaining):
-            rest = remaining // u
-            if u == 1:
-                prefix.append(0)
-                extend(rest, dims_left - 1)
-                prefix.pop()
-            else:
-                for k in (-(u - 1), u - 1):
-                    prefix.append(k)
-                    extend(rest, dims_left - 1)
-                    prefix.pop()
+        factors = _divisors(remaining)[1:]
+        for j in range(start, last):
+            for u in reversed(factors):
+                k[j] = 1 - u
+                place(remaining // u, j + 1)
+            k[j] = 0
+        for kj in (1 - remaining, remaining - 1):  # the last takes all that remains
+            k[last] = kj
+            points.append(tuple(k))
+        k[last] = 0
+        for j in range(last - 1, start - 1, -1):
+            for u in factors:
+                k[j] = u - 1
+                place(remaining // u, j + 1)
+            k[j] = 0
 
-    extend(product, d)
-    points.sort()
+    place(product, 0)
     return points
 
 
@@ -411,13 +418,12 @@ def enumerate_cross(r: int, d: int) -> Iterator[IndexVector]:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # Non-negative integer splits of `total` into `parts` ordered slots.
-    if parts == 1 or total == 0:  # one slot left, or only zeros to place
-        yield (0,) * (parts - 1) + (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # Non-negative integer splits of `total` into `parts` ordered slots, in
+    # lexicographic order, by stars and bars: parts - 1 bars cut the row of
+    # `total` stars, at non-decreasing offsets, and each part is the gap
+    # between two cuts.
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def enumerate_dyadic_cross(m: int, d: int, *,
@@ -489,8 +495,7 @@ def volume_bounds(r: float, ell: int) -> tuple[float, float]:
     return lower, upper
 
 
-@dataclass(frozen=True)
-class GeneralizedWeightSeq:
+class GeneralizedWeightSeq(Record):
     """A symmetric per-coordinate sequence 1 = b_0 >= b_l > 0 with b_l -> 0.
 
     ``evaluator`` may return any numeric type that supports multiplication
@@ -502,20 +507,24 @@ class GeneralizedWeightSeq:
     the exact value when you have one.
     """
 
+    __slots__ = ("evaluator", "envelope")
     evaluator: Callable[[int], object]
-    envelope: float | None = None
+    envelope: float | None
 
-    def __post_init__(self) -> None:
-        if float(self.evaluator(0)) != 1.0:
-            raise ValueError(f"b_0 must equal 1, got {self.evaluator(0)!r}")
+    def __init__(self, evaluator: Callable[[int], object],
+                 envelope: float | None = None) -> None:
+        if float(evaluator(0)) != 1.0:
+            raise ValueError(f"b_0 must equal 1, got {evaluator(0)!r}")
         for probe in (1, 2, 5):
-            left, right = self.evaluator(-probe), self.evaluator(probe)
+            left, right = evaluator(-probe), evaluator(probe)
             if float(left) != float(right):
                 raise ValueError(f"sequence must be symmetric; b_{-probe} != b_{probe}")
             if not 0.0 < float(right) <= 1.0:
                 raise ValueError(f"need 0 < b_l <= 1, got b_{probe} = {right!r}")
-        if self.envelope is not None:
-            positive(self.envelope, "envelope")
+        if envelope is not None:
+            positive(envelope, "envelope")
+        setfield(self, "evaluator", evaluator)
+        setfield(self, "envelope", envelope)
 
     def resolved_envelope(self) -> float:
         if self.envelope is not None:

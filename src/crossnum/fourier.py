@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from ._checks import integer, positive
+from ._record import Record, setfield
 from .combinatorics import (IndexVector, _check_guard, _guard_override,
                             count_cross, enumerate_cross, volume_bounds)
 from .spectra import ApproxNumber, exact_an_sharp
 
 
-@dataclass(frozen=True)
-class TruncationOperator:
+class TruncationOperator(Record):
     """Projection onto the Fourier modes of a symmetric cross.
 
     ``indices`` is N(r - 1, d) in enumeration order, so it is the first
@@ -31,16 +30,22 @@ class TruncationOperator:
     operator was built for.
     """
 
+    __slots__ = ("indices", "rank", "d", "s", "r")
     indices: tuple[IndexVector, ...]
     rank: int
     d: int
     s: float
     r: int
 
-    def __post_init__(self) -> None:
-        if self.rank != len(self.indices):
+    def __init__(self, indices: tuple[IndexVector, ...], rank: int, d: int,
+                 s: float, r: int) -> None:
+        if rank != len(indices):
             raise ValueError("rank must equal the number of kept modes")
-        object.__setattr__(self, "r", integer(self.r, "radius r"))
+        setfield(self, "indices", indices)
+        setfield(self, "rank", rank)
+        setfield(self, "d", d)
+        setfield(self, "s", s)
+        setfield(self, "r", integer(r, "radius r"))
 
 
 def optimal_truncation(n: int, d: int, s: float, *,
@@ -77,8 +82,7 @@ def worst_case_witness(op: TruncationOperator) -> tuple[IndexVector, float]:
     return witness, error
 
 
-@dataclass(frozen=True)
-class CoefficientModel:
+class CoefficientModel(Record):
     """Fourier coefficients with a certified decay envelope.
 
     ``evaluator`` returns c_k (any value accepted by ``abs``);
@@ -86,15 +90,20 @@ class CoefficientModel:
     Square-summability of the tail accounting needs decay_rate > 1/2.
     """
 
+    __slots__ = ("evaluator", "decay_scale", "decay_rate")
     evaluator: Callable[[IndexVector], complex]
     decay_scale: float
     decay_rate: float
 
-    def __post_init__(self) -> None:
-        positive(self.decay_scale, "decay scale")
-        if not self.decay_rate > 0.5:
+    def __init__(self, evaluator: Callable[[IndexVector], complex],
+                 decay_scale: float, decay_rate: float) -> None:
+        positive(decay_scale, "decay scale")
+        if not decay_rate > 0.5:
             raise ValueError(
-                f"decay rate must exceed 1/2 for a summable tail, got {self.decay_rate}")
+                f"decay rate must exceed 1/2 for a summable tail, got {decay_rate}")
+        setfield(self, "evaluator", evaluator)
+        setfield(self, "decay_scale", decay_scale)
+        setfield(self, "decay_rate", decay_rate)
 
 
 def _count_ceiling(x: float, d: int) -> float:

@@ -26,30 +26,28 @@ import itertools
 import math
 import sys
 import threading
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from ._checks import REL_TOL, integer, positive
+from ._checks import FAMILIES, REL_TOL, integer, positive
+from ._record import Record, setfield
 from .combinatorics import (IndexVector, _check_guard, _count_cross,
                             _guard_override, enumeration_guard)
 from .errors import UnsupportedRegimeError
 
-_FAMILIES = ("sharp", "plus", "star", "intm")
 
-
-@dataclass(frozen=True)
-class WeightKind:
+class WeightKind(Record):
     """One of the four weight families together with its smoothness."""
 
+    __slots__ = ("family", "s")
     family: str
     s: float
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown weight family {self.family!r}")
-        s = (float(integer(self.s, "integer-m order m")) if self.family == "intm"
-             else positive(self.s, "smoothness s"))
-        object.__setattr__(self, "s", s)
+    def __init__(self, family: str, s: float) -> None:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown weight family {family!r}")
+        setfield(self, "family", family)
+        setfield(self, "s", float(integer(s, "integer-m order m")) if family == "intm"
+                 else positive(s, "smoothness s"))
 
     @classmethod
     def sharp(cls, s: float) -> "WeightKind":
@@ -160,32 +158,39 @@ def weight(kind: WeightKind, k: Sequence[int]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ApproxNumber:
+class ApproxNumber(Record):
     """An exact spectrum value r^{-s}, kept symbolic as the pair (r, s)."""
 
+    __slots__ = ("r", "s")
     r: int
     s: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, r: int, s: float) -> None:
         # the common case is tested inline: staircase lookups build one per call
-        if not (type(self.r) is int and self.r >= 1):
-            object.__setattr__(self, "r", integer(self.r, "radius r"))
-        if not (type(self.s) is float and 0.0 < self.s < math.inf):
-            object.__setattr__(self, "s", positive(self.s, "smoothness s"))
+        if not (type(r) is int and r >= 1):
+            r = integer(r, "radius r")
+        if not (type(s) is float and 0.0 < s < math.inf):
+            s = positive(s, "smoothness s")
+        setfield(self, "r", r)
+        setfield(self, "s", s)
 
     def value(self) -> float:
         # the enumeration's arithmetic, 1 / float(r) ** s, below the switch
         return _power(self.r, self.s, reciprocal=True)
 
 
-@dataclass(frozen=True)
-class Breakpoint:
+class Breakpoint(Record):
     """One step of the sharp spectrum: a_n = value for C(r-1,d) < n <= cumulative."""
 
+    __slots__ = ("r", "cumulative", "value")
     r: int
     cumulative: int
     value: ApproxNumber
+
+    def __init__(self, r: int, cumulative: int, value: ApproxNumber) -> None:
+        setfield(self, "r", r)
+        setfield(self, "cumulative", cumulative)
+        setfield(self, "value", value)
 
 
 def breakpoints_sharp(d: int, s: float, r_max: int) -> list[Breakpoint]:
@@ -248,8 +253,7 @@ def exact_an_sharp(n: int, d: int, s: float) -> ApproxNumber:
     return ApproxNumber(hi, s)
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(Record):
     """sigma_1 >= sigma_2 >= ... >= sigma_n for one weight kind.
 
     ``certification`` is "exact" for tables assembled from breakpoints and
@@ -259,21 +263,30 @@ class SpectrumTable:
     tables.
     """
 
+    __slots__ = ("values", "kind", "d", "certification", "radius", "bases")
     values: tuple[float, ...]
     kind: WeightKind
     d: int
     certification: str
-    radius: int | None = None
-    bases: tuple[int, ...] | None = None
+    radius: int | None
+    bases: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, values: tuple[float, ...], kind: WeightKind, d: int,
+                 certification: str, radius: int | None = None,
+                 bases: tuple[int, ...] | None = None) -> None:
+        if not values:
             raise ValueError("a spectrum table needs at least one entry")
-        if self.values[0] != 1.0:
-            raise ValueError(f"sigma_1 must be 1, got {self.values[0]}")
-        for a, b in zip(self.values, self.values[1:]):
+        if values[0] != 1.0:
+            raise ValueError(f"sigma_1 must be 1, got {values[0]}")
+        for a, b in zip(values, values[1:]):
             if b > a:
                 raise ValueError("spectrum values must be non-increasing")
+        setfield(self, "values", values)
+        setfield(self, "kind", kind)
+        setfield(self, "d", d)
+        setfield(self, "certification", certification)
+        setfield(self, "radius", radius)
+        setfield(self, "bases", bases)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -345,10 +358,11 @@ def rearranged_spectrum(kind: WeightKind, d: int, n_max: int, *,
                                      "enumerated-certified", radius=radius)
 
 
-@dataclass(frozen=True)
-class DominationReport:
+class DominationReport(Record):
     """Result of a pointwise weight-domination check on a sample box."""
 
+    __slots__ = ("source", "target", "d", "regime", "passed", "checked",
+                 "counterexample", "factor")
     source: WeightKind
     target: WeightKind
     d: int
@@ -356,7 +370,19 @@ class DominationReport:
     passed: bool
     checked: int
     counterexample: IndexVector | None
-    factor: float = 1.0  # norm bound certified; 1 for norm-one embeddings
+    factor: float  # norm bound certified; 1 for norm-one embeddings
+
+    def __init__(self, source: WeightKind, target: WeightKind, d: int,
+                 regime: str, passed: bool, checked: int,
+                 counterexample: IndexVector | None, factor: float = 1.0) -> None:
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "d", d)
+        setfield(self, "regime", regime)
+        setfield(self, "passed", passed)
+        setfield(self, "checked", checked)
+        setfield(self, "counterexample", counterexample)
+        setfield(self, "factor", factor)
 
 
 # weight orderings within one smoothness value: earlier = larger weight
@@ -425,11 +451,10 @@ def verify_weight_domination(pair: tuple[WeightKind, WeightKind], d: int,
             regime = "plus-to-intm"
         elif source.family == "intm" and target.family == "plus":
             regime = "intm-to-plus-bounded"
-            factor = (2.0 ** m / (m + 1)) ** (d / 2.0)
-            bad = _integer_chain_violation(m, sample_radius)
-            if bad is not None:
-                return DominationReport(source, target, d, regime, False,
-                                        sample_radius + 1, (bad,), factor)
+            try:  # ldexp is 2.0 ** m / (m + 1) bit for bit, without forming 2.0 ** m
+                factor = math.ldexp(1.0 / (m + 1), m) ** (d / 2.0)
+            except OverflowError:  # a factor past double range is inf, as in weight
+                factor = math.inf
         else:
             raise UnsupportedRegimeError(
                 f"no supported comparison {source.label()} -> {target.label()}")
@@ -452,6 +477,13 @@ def verify_weight_domination(pair: tuple[WeightKind, WeightKind], d: int,
     box = (2 * sample_radius + 1) ** d
     with _guard_override(max_enum):
         _check_guard(box, f"domination check box has {box} points")
+    if regime == "intm-to-plus-bounded":
+        # exact, and it costs sample_radius big-int powers of order m, so
+        # it runs only once the box has passed the guard
+        bad = _integer_chain_violation(source.m, sample_radius)
+        if bad is not None:
+            return DominationReport(source, target, d, regime, False,
+                                    sample_radius + 1, (bad,), factor)
 
     checked = 0
     counterexample = None

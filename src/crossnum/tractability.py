@@ -17,10 +17,10 @@ eps is available as the default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from ._checks import REL_TOL, integer, positive, unit_interval
+from ._record import Record, setfield
 from .combinatorics import _guard_override, count_cross
 from .errors import ResourceLimitError
 from .spectra import WeightKind, _best_first
@@ -51,19 +51,22 @@ def info_complexity_sharp(eps: float, d: int, s: float) -> int:
     return count_cross(r_star - 1, d) + 1
 
 
-@dataclass(frozen=True)
-class ComplexityEnclosure:
+class ComplexityEnclosure(Record):
     """lower <= n(eps, d) <= upper, with the exact value when resolved."""
 
+    __slots__ = ("lower", "upper", "exact")
     lower: int
     upper: int
-    exact: int | None = None
+    exact: int | None
 
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
+    def __init__(self, lower: int, upper: int, exact: int | None = None) -> None:
+        if lower > upper:
             raise ValueError("enclosure is empty")
-        if self.exact is not None and not self.lower <= self.exact <= self.upper:
+        if exact is not None and not lower <= exact <= upper:
             raise ValueError("exact value escapes its enclosure")
+        setfield(self, "lower", lower)
+        setfield(self, "upper", upper)
+        setfield(self, "exact", exact)
 
 
 def info_complexity_bounds(kind: WeightKind, eps: float, d: int, *,
@@ -127,8 +130,7 @@ def qpt_constants(s: float) -> tuple[float, float]:
     return 8.0 / positive(s, "smoothness s"), math.exp(2.0)
 
 
-@dataclass(frozen=True)
-class QptCertificate:
+class QptCertificate(Record):
     """Grid evidence for (or against) one quasi-polynomial pair (t, C_t).
 
     ``slack`` is the largest value of ln n - ln C_t - t ln(1/eps)(1 + ln d)
@@ -137,6 +139,8 @@ class QptCertificate:
     grid point with C_t fixed.
     """
 
+    __slots__ = ("s", "t", "c_t", "grid", "passed", "violations",
+                 "worst_point", "slack", "per_point_t")
     s: float
     t: float
     c_t: float
@@ -146,6 +150,21 @@ class QptCertificate:
     worst_point: tuple[float, int]
     slack: float
     per_point_t: tuple[float, ...]
+
+    def __init__(self, s: float, t: float, c_t: float,
+                 grid: tuple[tuple[float, int], ...], passed: bool,
+                 violations: tuple[tuple[float, int], ...],
+                 worst_point: tuple[float, int], slack: float,
+                 per_point_t: tuple[float, ...]) -> None:
+        setfield(self, "s", s)
+        setfield(self, "t", t)
+        setfield(self, "c_t", c_t)
+        setfield(self, "grid", grid)
+        setfield(self, "passed", passed)
+        setfield(self, "violations", violations)
+        setfield(self, "worst_point", worst_point)
+        setfield(self, "slack", slack)
+        setfield(self, "per_point_t", per_point_t)
 
 
 def qpt_certify(s: float, d_grid: Sequence[int], eps_grid: Sequence[float],

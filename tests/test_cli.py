@@ -396,6 +396,14 @@ def test_large_dimension_and_order_end_quickly(capsys):
     assert code == EXIT_OK and json.loads(out)["a_n"] == 0.0
 
 
+def test_cross_export_far_past_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, "cross", "--r", "2", "--d", "1200")
+    rows = out.splitlines()
+    assert code == EXIT_OK and len(rows) == 1 + 2401
+    assert rows[1] == ",".join(["0"] * 1200 + ["1"])
+    assert rows[2] == ",".join(["-1"] + ["0"] * 1199 + ["2"])
+
+
 def test_best_first_guard_refusals(capsys):
     # the table length exceeds the guard, or the walk pops more vectors
     # than the guard before it reaches eps

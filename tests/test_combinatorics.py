@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import random
 import sys
@@ -471,6 +472,26 @@ def test_trailing_zeros_end_the_recursion():
         enumerate_dyadic_cross(0, 5000)
     operator = optimal_truncation(3, 2000, 1.0)
     assert operator.rank == 1 and operator.indices == ((0,) * 2000,)
+
+
+def test_recursion_depth_is_bounded_by_the_nonzero_coordinates():
+    # a nonzero coordinate far into a long vector, past the recursion limit
+    points = list(enumerate_cross(2, 1500))
+    assert len(points) == count_cross(2, 1500) == 3001
+    assert points[1] == (-1,) + (0,) * 1499 and points[-1] == (1,) + (0,) * 1499
+    assert points == sorted(points, key=lambda k: (math.prod(1 + abs(x) for x in k), k))
+    with pytest.raises(ResourceLimitError):  # 5000 boxes of 5 * 3^4999 points
+        enumerate_dyadic_cross(1, 5000)
+
+
+def test_shell_order_matches_a_sort_of_the_product_boxes():
+    # the shells come out in tuple order without a sort; compare with
+    # the sorted points of the bounding box
+    for r, d in ((12, 1), (12, 2), (24, 3), (8, 5)):
+        box = itertools.product(range(-(r - 1), r), repeat=d)
+        expected = sorted((k for k in box if math.prod(1 + abs(x) for x in k) <= r),
+                          key=lambda k: (math.prod(1 + abs(x) for x in k), k))
+        assert list(enumerate_cross(r, d)) == expected
 
 
 def test_dyadic_cross_nested_in_cross():

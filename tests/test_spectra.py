@@ -411,6 +411,22 @@ def test_domination_integer_m_chain():
         assert three.regime == "intm-to-plus-bounded"
 
 
+def test_domination_factor_past_double_range_is_inf():
+    # (2^m / (m + 1))^(d/2) leaves double range; the box is held against
+    # the guard before the exact chain check
+    report = verify_weight_domination(
+        (WeightKind.integer_m(20000), WeightKind.plus(20000)), 1, 3)
+    assert report.passed and report.factor == math.inf and report.checked == 7
+    assert report.regime == "intm-to-plus-bounded"
+    near = verify_weight_domination(
+        (WeightKind.integer_m(1024), WeightKind.plus(1024)), 1, 2)
+    expected = math.exp(0.5 * (1024 * math.log(2.0) - math.log(1025.0)))
+    assert near.factor == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ResourceLimitError):
+        verify_weight_domination(
+            (WeightKind.integer_m(20000), WeightKind.plus(20000)), 3, 1000, max_enum=100)
+
+
 def test_domination_unsupported_pairs():
     with pytest.raises(UnsupportedRegimeError):
         verify_weight_domination(
