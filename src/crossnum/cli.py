@@ -6,14 +6,14 @@ formulas and quasi-polynomial certificates against exact spectra),
 ``tract`` (information complexity), ``cross`` (index-set CSV export) and
 ``trace`` (limit-ratio traces).
 
-The library returns immutable records: ``__slots__`` classes, not
-dataclasses, so ``dataclasses.replace``, ``asdict`` and ``fields`` do
-not apply to them.  This module alone formats output, in the JSON
-payloads and the CSV tables below.  Like the lazy package namespace,
-it loads layers only when they run: the parser and :func:`main` need
-only ``bounds`` and ``combinatorics``, and each command imports the
-further layers it uses, so ``count`` and ``cross`` never load the
-spectra.
+The library returns immutable records: ``__slots__`` classes, not data
+classes, so ``replace``, ``asdict`` and ``fields`` from the standard
+library's data-class module do not apply to them (see README).  This
+module alone formats output, in the JSON payloads and the CSV tables
+below.  Like the lazy package namespace, it loads layers only when they
+run: the parser and :func:`main` need only ``bounds`` and
+``combinatorics``, and each command imports the further layers it uses,
+so ``count`` and ``cross`` never load the spectra.
 
 Output is byte-stable: JSON is compact with sorted keys, CSV uses fixed
 headers and bare newlines, floats print as their shortest round-trip
