@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ._checks import REL_TOL as TOLERANCE
 from ._checks import integer, positive
-from ._record import Record, setfield
+from ._record import Record
 from .combinatorics import _guard_override, count_cross
 
 if TYPE_CHECKING:
@@ -98,16 +98,7 @@ class FormulaInfo(Record):
     first: Callable[[int], int]
     cap: Callable[[int], int] | None
     min_d: int
-
-    def __init__(self, side: str, family: str, experimental: bool = False,
-                 first: Callable[[int], int] = _from_1,
-                 cap: Callable[[int], int] | None = None, min_d: int = 1) -> None:
-        setfield(self, "side", side)
-        setfield(self, "family", family)
-        setfield(self, "experimental", experimental)
-        setfield(self, "first", first)
-        setfield(self, "cap", cap)
-        setfield(self, "min_d", min_d)
+    _defaults = (False, _from_1, None, 1)
 
 
 _INFO = {
@@ -235,17 +226,6 @@ class VerificationReport(Record):
     skipped: int
     violations: tuple[tuple[int, float, float], ...]  # (n, exact, bound)
     max_slack: float
-
-    def __init__(self, formula: BoundFormula, d: int, s: float, checked: int,
-                 skipped: int, violations: tuple[tuple[int, float, float], ...],
-                 max_slack: float) -> None:
-        setfield(self, "formula", formula)
-        setfield(self, "d", d)
-        setfield(self, "s", s)
-        setfield(self, "checked", checked)
-        setfield(self, "skipped", skipped)
-        setfield(self, "violations", violations)
-        setfield(self, "max_slack", max_slack)
 
     @property
     def passed(self) -> bool:

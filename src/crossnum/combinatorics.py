@@ -47,7 +47,7 @@ from operator import add, mul, sub
 from typing import Callable, Iterator
 
 from ._checks import integer, positive, radius
-from ._record import Record, setfield
+from ._record import Record
 from .errors import ResourceLimitError
 
 IndexVector = tuple[int, ...]
@@ -119,8 +119,7 @@ class CrossSpec(Record):
     d: int
 
     def __init__(self, r: int, d: int) -> None:
-        setfield(self, "r", integer(r, "radius r"))
-        setfield(self, "d", integer(d, "dimension d"))
+        super().__init__(integer(r, "radius r"), integer(d, "dimension d"))
 
     def count(self) -> int:
         return _count_cross(self.r, self.d)
@@ -523,8 +522,7 @@ class GeneralizedWeightSeq(Record):
                 raise ValueError(f"need 0 < b_l <= 1, got b_{probe} = {right!r}")
         if envelope is not None:
             positive(envelope, "envelope")
-        setfield(self, "evaluator", evaluator)
-        setfield(self, "envelope", envelope)
+        super().__init__(evaluator, envelope)
 
     def resolved_envelope(self) -> float:
         if self.envelope is not None:

@@ -15,7 +15,7 @@ import math
 from typing import Callable
 
 from ._checks import integer, positive
-from ._record import Record, setfield
+from ._record import Record
 from .combinatorics import (IndexVector, _check_guard, _guard_override,
                             count_cross, enumerate_cross, volume_bounds)
 from .spectra import ApproxNumber, exact_an_sharp
@@ -41,11 +41,7 @@ class TruncationOperator(Record):
                  s: float, r: int) -> None:
         if rank != len(indices):
             raise ValueError("rank must equal the number of kept modes")
-        setfield(self, "indices", indices)
-        setfield(self, "rank", rank)
-        setfield(self, "d", d)
-        setfield(self, "s", s)
-        setfield(self, "r", integer(r, "radius r"))
+        super().__init__(indices, rank, d, s, integer(r, "radius r"))
 
 
 def optimal_truncation(n: int, d: int, s: float, *,
@@ -101,9 +97,7 @@ class CoefficientModel(Record):
         if not decay_rate > 0.5:
             raise ValueError(
                 f"decay rate must exceed 1/2 for a summable tail, got {decay_rate}")
-        setfield(self, "evaluator", evaluator)
-        setfield(self, "decay_scale", decay_scale)
-        setfield(self, "decay_rate", decay_rate)
+        super().__init__(evaluator, decay_scale, decay_rate)
 
 
 def _count_ceiling(x: float, d: int) -> float:

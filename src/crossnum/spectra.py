@@ -45,9 +45,8 @@ class WeightKind(Record):
     def __init__(self, family: str, s: float) -> None:
         if family not in FAMILIES:
             raise ValueError(f"unknown weight family {family!r}")
-        setfield(self, "family", family)
-        setfield(self, "s", float(integer(s, "integer-m order m")) if family == "intm"
-                 else positive(s, "smoothness s"))
+        super().__init__(family, float(integer(s, "integer-m order m"))
+                         if family == "intm" else positive(s, "smoothness s"))
 
     @classmethod
     def sharp(cls, s: float) -> "WeightKind":
@@ -187,11 +186,6 @@ class Breakpoint(Record):
     cumulative: int
     value: ApproxNumber
 
-    def __init__(self, r: int, cumulative: int, value: ApproxNumber) -> None:
-        setfield(self, "r", r)
-        setfield(self, "cumulative", cumulative)
-        setfield(self, "value", value)
-
 
 def breakpoints_sharp(d: int, s: float, r_max: int) -> list[Breakpoint]:
     """The sharp staircase for radii 1..r_max, with exact cumulative counts."""
@@ -281,12 +275,7 @@ class SpectrumTable(Record):
         for a, b in zip(values, values[1:]):
             if b > a:
                 raise ValueError("spectrum values must be non-increasing")
-        setfield(self, "values", values)
-        setfield(self, "kind", kind)
-        setfield(self, "d", d)
-        setfield(self, "certification", certification)
-        setfield(self, "radius", radius)
-        setfield(self, "bases", bases)
+        super().__init__(values, kind, d, certification, radius, bases)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -371,18 +360,7 @@ class DominationReport(Record):
     checked: int
     counterexample: IndexVector | None
     factor: float  # norm bound certified; 1 for norm-one embeddings
-
-    def __init__(self, source: WeightKind, target: WeightKind, d: int,
-                 regime: str, passed: bool, checked: int,
-                 counterexample: IndexVector | None, factor: float = 1.0) -> None:
-        setfield(self, "source", source)
-        setfield(self, "target", target)
-        setfield(self, "d", d)
-        setfield(self, "regime", regime)
-        setfield(self, "passed", passed)
-        setfield(self, "checked", checked)
-        setfield(self, "counterexample", counterexample)
-        setfield(self, "factor", factor)
+    _defaults = (1.0,)
 
 
 # weight orderings within one smoothness value: earlier = larger weight

@@ -20,7 +20,7 @@ import math
 from typing import Sequence
 
 from ._checks import REL_TOL, integer, positive, unit_interval
-from ._record import Record, setfield
+from ._record import Record
 from .combinatorics import _guard_override, count_cross
 from .errors import ResourceLimitError
 from .spectra import WeightKind, _best_first
@@ -64,9 +64,7 @@ class ComplexityEnclosure(Record):
             raise ValueError("enclosure is empty")
         if exact is not None and not lower <= exact <= upper:
             raise ValueError("exact value escapes its enclosure")
-        setfield(self, "lower", lower)
-        setfield(self, "upper", upper)
-        setfield(self, "exact", exact)
+        super().__init__(lower, upper, exact)
 
 
 def info_complexity_bounds(kind: WeightKind, eps: float, d: int, *,
@@ -150,21 +148,6 @@ class QptCertificate(Record):
     worst_point: tuple[float, int]
     slack: float
     per_point_t: tuple[float, ...]
-
-    def __init__(self, s: float, t: float, c_t: float,
-                 grid: tuple[tuple[float, int], ...], passed: bool,
-                 violations: tuple[tuple[float, int], ...],
-                 worst_point: tuple[float, int], slack: float,
-                 per_point_t: tuple[float, ...]) -> None:
-        setfield(self, "s", s)
-        setfield(self, "t", t)
-        setfield(self, "c_t", c_t)
-        setfield(self, "grid", grid)
-        setfield(self, "passed", passed)
-        setfield(self, "violations", violations)
-        setfield(self, "worst_point", worst_point)
-        setfield(self, "slack", slack)
-        setfield(self, "per_point_t", per_point_t)
 
 
 def qpt_certify(s: float, d_grid: Sequence[int], eps_grid: Sequence[float],
