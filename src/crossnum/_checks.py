@@ -2,10 +2,10 @@
 
 The paper's objects are defined for finite smoothness s > 0, integers
 d, n, r >= 1, finite real radii >= 1, tolerances 0 < eps < 1 and the four
-weight families named in ``FAMILIES``.  Each rule below states one of
-these once: it returns the argument coerced to
-the type the package computes with, or raises ``ValueError`` naming the
-argument.
+weight families named in ``FAMILIES``; an integer-m order m is a
+smoothness as well, so it must be finite as a float.  Each rule below
+states one of these once: it returns the argument coerced to the type
+the package computes with, or raises ``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -29,6 +29,15 @@ def integer(value, name: str, least: int = 1) -> int:
         what = "a positive integer" if least == 1 else f"an integer >= {least}"
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return whole
+
+
+def intm_order(value) -> float:
+    """``value``, a positive integer below 2**1024, as the float smoothness."""
+    whole = integer(value, "integer-m order m")
+    try:
+        return float(whole)
+    except OverflowError:
+        raise ValueError("integer-m order m must be below 2**1024") from None
 
 
 def _real(value, name: str, top: float, what: str) -> float:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ._checks import REL_TOL as TOLERANCE
-from ._checks import integer, positive
+from ._checks import integer, intm_order, positive
 from ._record import Record
 from .combinatorics import _guard_override, count_cross
 
@@ -132,7 +132,7 @@ def formula_info(formula: BoundFormula) -> FormulaInfo:
 def _validate_args(formula: BoundFormula, n: int, d: int,
                    s: float) -> tuple[int, int, float]:
     if _INFO[formula].family == "intm":
-        s = float(integer(s, "integer-m order m"))
+        s = intm_order(s)
     return (integer(n, "index n"), integer(d, "dimension d"),
             positive(s, "smoothness s"))
 

@@ -6,36 +6,39 @@ formulas and quasi-polynomial certificates against exact spectra),
 ``tract`` (information complexity), ``cross`` (index-set CSV export) and
 ``trace`` (limit-ratio traces).
 
-The library returns immutable records: ``__slots__`` classes, not data
-classes, so ``replace``, ``asdict`` and ``fields`` from the standard
-library's data-class module do not apply to them (see README).  This
-module alone formats output, in the JSON payloads and the CSV tables
-below.  Like the lazy package namespace, it loads layers only when they
-run: the parser and :func:`main` need only ``bounds`` and
-``combinatorics``, and each command imports the further layers it uses,
-so ``count`` and ``cross`` never load the spectra.
+The library returns immutable records: ``__slots__`` classes whose one
+base initializer binds the fields in slot order, the trailing ones
+defaulting to a class's ``_defaults``.  They are not data classes, so
+``replace``, ``asdict`` and ``fields`` from the standard library's
+data-class module do not apply to them (see README).  This module alone
+formats output, in the JSON payloads and the CSV tables below.  Like
+the lazy package namespace, it loads layers only when they run: the
+parser and :func:`main` need only ``bounds`` and ``combinatorics``, and
+each command imports the further layers it uses, so ``count`` and
+``cross`` never load the spectra.
 
 Output is byte-stable: JSON is compact with sorted keys, CSV uses fixed
 headers and bare newlines, floats print as their shortest round-trip
 representation.  Counts travel as decimal strings because they can
 exceed double precision.  Exit codes: 0 success, 2 argument error,
 3 verification failure, 4 resource limit.  Files named by ``--out`` are
-only written after the computation has succeeded, so argument errors
-never leave partial output behind.
+opened only after every argument and guard check has passed, so those
+errors never leave output behind.  A CSV is written row by row, so a
+``cross`` export holds one shell of the cross in memory, not its text.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import bounds, combinatorics
-from ._checks import FAMILIES, integer
+from ._checks import FAMILIES, integer, intm_order
 from .errors import ResourceLimitError
 
 if TYPE_CHECKING:
@@ -149,17 +152,17 @@ def _dump_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _csv(header: list[str], rows: Iterable[list]) -> tuple[str, int]:
-    # the one CSV writer: fixed header, bare newline line endings; returns
-    # the text and the number of data rows
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    count = 0
-    for row in rows:
-        writer.writerow(row)
-        count += 1
-    return buffer.getvalue(), count
+def _emit_csv(header: list[str], rows: Iterable[list], out: str | None) -> int:
+    # the one CSV writer: fixed header, bare newline line endings, each row
+    # written as it comes; returns the number of data rows
+    destination = nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
+    with destination as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        count = 0
+        for count, row in enumerate(rows, start=1):
+            writer.writerow(row)
+    return count
 
 
 def _spectrum_record(table: spectra.SpectrumTable) -> dict[str, object]:
@@ -171,12 +174,13 @@ def _spectrum_record(table: spectra.SpectrumTable) -> dict[str, object]:
     return record
 
 
-def _spectrum_csv(table: spectra.SpectrumTable) -> str:
+def _spectrum_csv(table: spectra.SpectrumTable, out: str | None) -> None:
     values = enumerate(table.values, start=1)
     if table.bases is None:
-        return _csv(["n", "sigma"], ([n, repr(v)] for n, v in values))[0]
-    return _csv(["n", "sigma", "r"],
-                ([n, repr(v), r] for (n, v), r in zip(values, table.bases)))[0]
+        _emit_csv(["n", "sigma"], ([n, repr(v)] for n, v in values), out)
+    else:
+        _emit_csv(["n", "sigma", "r"],
+                  ([n, repr(v), r] for (n, v), r in zip(values, table.bases)), out)
 
 
 def _report_record(report: bounds.VerificationReport) -> dict[str, object]:
@@ -272,7 +276,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     else:
         table = spectra.rearranged_spectrum(kind, args.d, args.nmax)
     if args.format == "csv":
-        _emit(_spectrum_csv(table), args.out)
+        _spectrum_csv(table, args.out)
     else:
         _emit(_dump_json(_with_meta(_spectrum_record(table), args)), args.out)
     return EXIT_OK
@@ -301,9 +305,9 @@ def _default_grid(formula: bounds.BoundFormula, d: int, rmax: int,
     if cap is not None:
         rmax = min(rmax, 2 ** d)
     combinatorics._check_guard(rmax, f"verify grid over {rmax} radii")
+    right = 0  # C(0, d): each window starts one past the last one's right end
     for r in range(1, rmax + 1):
-        right = combinatorics.count_cross(r, d)
-        left = combinatorics.count_cross(r - 1, d) + 1 if r > 1 else 1
+        left, right = right + 1, combinatorics.count_cross(r, d)
         n = right if info.side == "upper" else left
         if cap is not None:
             if info.side == "upper":
@@ -314,8 +318,7 @@ def _default_grid(formula: bounds.BoundFormula, d: int, rmax: int,
                 continue
         grid.add(n)
     grid.add(first)  # the first valid index of each range is a worst point too
-    top = combinatorics.count_cross(rmax, d)
-    return sorted(n for n in grid if 1 <= n <= top)
+    return sorted(n for n in grid if 1 <= n <= right)  # right = C(rmax, d)
 
 
 def _verify_formula(formula: bounds.BoundFormula, args: argparse.Namespace,
@@ -326,7 +329,7 @@ def _verify_formula(formula: bounds.BoundFormula, args: argparse.Namespace,
     if info.family == "intm":
         if args.m is None:
             raise ValueError(f"{formula.value} requires --m")
-        s = float(args.m)
+        s = intm_order(args.m)
     else:
         if args.s is None:
             raise ValueError(f"{formula.value} requires --s")
@@ -396,10 +399,10 @@ def _cmd_tract(args: argparse.Namespace) -> int:
 def _cmd_cross(args: argparse.Namespace) -> int:
     total = combinatorics.count_cross(args.r, args.d)
     combinatorics._check_guard(total, f"export of N({args.r},{args.d}) has {total} rows")
-    text, rows = _csv([f"k_{j}" for j in range(1, args.d + 1)] + ["product"],
-                      (list(k) + [math.prod(1 + abs(kj) for kj in k)]
-                       for k in combinatorics.enumerate_cross(args.r, args.d)))
-    _emit(text, args.out)
+    rows = _emit_csv([f"k_{j}" for j in range(1, args.d + 1)] + ["product"],
+                     (list(k) + [math.prod(1 + abs(kj) for kj in k)]
+                      for k in combinatorics.enumerate_cross(args.r, args.d)),
+                     args.out)
     if args.out is not None:
         summary = _with_meta({"path": args.out, "rows": str(rows)}, args)
         sys.stdout.write(_dump_json(summary))
@@ -409,8 +412,8 @@ def _cmd_cross(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     rows = bounds.limit_ratio_trace(args.d, args.s, args.rs)
     constant = repr(bounds.asymptotic_constant(args.d, args.s))
-    _emit(_csv(["n", "ratio", "constant"],
-               ([str(n), repr(ratio), constant] for n, ratio in rows))[0], args.out)
+    _emit_csv(["n", "ratio", "constant"],
+              ([str(n), repr(ratio), constant] for n, ratio in rows), args.out)
     return EXIT_OK
 
 

@@ -342,15 +342,19 @@ def count_cross_bruteforce(r: int, d: int, *, max_enum: int | None = None) -> in
         _check_guard(estimate, f"brute-force count of N({spec.r},{spec.d}) "
                                f"could visit about {estimate} points")
 
-    def visit(budget: int, dims: int) -> int:
-        if dims == 0 or budget == 1:  # only zeros are left to place
-            return 1
-        total = 0
-        for k in range(-(budget - 1), budget):
-            total += visit(budget // (1 + abs(k)), dims - 1)
+    # Only the nonzero coordinates are placed, as in _shell_points: a point
+    # is the zeros up to `start` plus its next nonzero coordinate j >= start,
+    # so the recursion is at most log2(r) deep whatever d is.
+    def visit(budget: int, start: int) -> int:
+        total = 1  # the point whose coordinates from `start` on are all zero
+        if budget > 1:
+            for j in range(start, spec.d):
+                for k in range(1 - budget, budget):
+                    if k:
+                        total += visit(budget // (1 + abs(k)), j + 1)
         return total
 
-    return visit(spec.r, spec.d)
+    return visit(spec.r, 0)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -401,6 +405,7 @@ def _shell_points(product: int, d: int) -> list[IndexVector]:
             k[j] = 0
 
     place(product, 0)
+    del place  # a closure that refers to itself: unbinding it frees the shell at once
     return points
 
 

@@ -28,7 +28,7 @@ import sys
 import threading
 from typing import Iterator, Sequence
 
-from ._checks import FAMILIES, REL_TOL, integer, positive
+from ._checks import FAMILIES, REL_TOL, integer, intm_order, positive
 from ._record import Record, setfield
 from .combinatorics import (IndexVector, _check_guard, _count_cross,
                             _guard_override, enumeration_guard)
@@ -45,8 +45,8 @@ class WeightKind(Record):
     def __init__(self, family: str, s: float) -> None:
         if family not in FAMILIES:
             raise ValueError(f"unknown weight family {family!r}")
-        super().__init__(family, float(integer(s, "integer-m order m"))
-                         if family == "intm" else positive(s, "smoothness s"))
+        super().__init__(family, intm_order(s) if family == "intm"
+                         else positive(s, "smoothness s"))
 
     @classmethod
     def sharp(cls, s: float) -> "WeightKind":

@@ -1,12 +1,14 @@
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
-from crossnum import count_cross, info_complexity_bounds, WeightKind
+from crossnum import (BoundFormula, count_cross, formula_info,
+                      info_complexity_bounds, WeightKind)
 from crossnum.cli import (EXIT_ARGS, EXIT_CHECK, EXIT_OK, EXIT_RESOURCE,
-                          build_parser, main)
+                          _default_grid, build_parser, main)
 
 
 def run(capsys, *argv):
@@ -213,6 +215,30 @@ def test_verify_lower_start_past_double_range(capsys):
     assert code == EXIT_OK and '"skipped":2' in out
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_default_grid_of_sharp_formulas_from_direct_counts(d):
+    # one count per radius, each window's left end carried from the last
+    # one's right end, gives the grid that counting both ends builds
+    sharp = [f for f in BoundFormula if formula_info(f).family == "sharp"
+             and formula_info(f).side != "constant"]
+    assert sharp
+    for formula in sharp:
+        info = formula_info(formula)
+        for rmax in (1, 2, 7, 60):
+            top = min(rmax, 2 ** d) if info.cap is not None else rmax
+            cap = info.cap(d) if info.cap is not None else math.inf
+            grid = {info.first(d)}
+            for r in range(1, top + 1):
+                left = count_cross(r - 1, d) + 1 if r > 1 else 1
+                right = count_cross(r, d)
+                if info.side == "upper" and left <= cap:
+                    grid.add(min(right, cap))
+                elif info.side == "lower" and left <= cap:
+                    grid.add(left)
+            expected = sorted(n for n in grid if n <= count_cross(top, d))
+            assert _default_grid(formula, d, rmax, 10) == expected, (formula, rmax)
+
+
 # -- tract --------------------------------------------------------------------
 
 def test_tract_sharp_bytes(capsys):
@@ -402,6 +428,41 @@ def test_cross_export_far_past_the_recursion_limit(capsys):
     assert code == EXIT_OK and len(rows) == 1 + 2401
     assert rows[1] == ",".join(["0"] * 1200 + ["1"])
     assert rows[2] == ",".join(["-1"] + ["0"] * 1199 + ["2"])
+
+
+def test_brute_count_far_past_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, "count", "--r", "2", "--d", "1500", "--brute",
+                       "--max-enum", "1" + "0" * 800)
+    assert code == EXIT_OK and '"match":true' in out
+    assert json.loads(out)["brute"] == "3001"
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--kind", "intm", "--d", "2", "--n", "5"),
+    ("tract", "--kind", "intm", "--d", "2", "--eps", "0.5"),
+    ("verify", "--formula", "intm-upper-413", "--d", "2"),
+])
+def test_intm_order_past_double_range_is_argument_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--m", "1" + "0" * 400)
+    assert code == EXIT_ARGS and out == ""
+    assert err.startswith("crossnum: integer-m order m") and err.count("\n") == 1
+
+
+def test_cross_export_streams_its_rows(capsys, tmp_path):
+    # the peak memory of an export does not grow with its row count
+    peaks, sizes = [], []
+    for r in (300, 3000):
+        target = tmp_path / f"cross-{r}.csv"
+        run(capsys, "cross", "--r", str(r), "--d", "2", "--out", str(target))
+        tracemalloc.start()  # the first run warmed the counting caches
+        code, out, _ = run(capsys, "cross", "--r", str(r), "--d", "2",
+                           "--out", str(target))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert code == EXIT_OK and json.loads(out)["rows"] == str(count_cross(r, 2))
+        sizes.append(target.stat().st_size)
+    assert sizes[1] > 10 * sizes[0]
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_best_first_guard_refusals(capsys):

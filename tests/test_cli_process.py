@@ -32,6 +32,13 @@ COMMANDS = {
                           "--eps", "0.1"], EXIT_ARGS),
     "resource-refusal": (["spectrum", "--kind", "sharp", "--d", "3", "--s", "1",
                           "--nmax", "50", "--max-enum", "10"], EXIT_RESOURCE),
+    # an integer-m order past double range, refused by each command that takes one
+    "intm-order-refusal-spectrum": (["spectrum", "--kind", "intm", "--d", "2",
+                                     "--m", "1" + "0" * 400, "--n", "5"], EXIT_ARGS),
+    "intm-order-refusal-tract": (["tract", "--kind", "intm", "--d", "2",
+                                  "--m", "1" + "0" * 400, "--eps", "0.5"], EXIT_ARGS),
+    "intm-order-refusal-verify": (["verify", "--formula", "intm-upper-413", "--d", "2",
+                                   "--m", "1" + "0" * 400], EXIT_ARGS),
 }
 
 # what a count or a cross export must not load

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import itertools
 import math
@@ -492,6 +493,27 @@ def test_shell_order_matches_a_sort_of_the_product_boxes():
         expected = sorted((k for k in box if math.prod(1 + abs(x) for x in k) <= r),
                           key=lambda k: (math.prod(1 + abs(x) for x in k), k))
         assert list(enumerate_cross(r, d)) == expected
+
+
+def test_bruteforce_depth_is_bounded_by_the_nonzero_coordinates():
+    # the oracle places only nonzero coordinates too, so a dimension past
+    # the recursion limit is counted once its estimate passes the guard
+    assert count_cross_bruteforce(2, 1500, max_enum=10 ** 800) == 3001
+    assert count_cross_bruteforce(4, 1200, max_enum=10 ** 800) == count_cross(4, 1200)
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # each shell is freed once it is yielded, not at the next cyclic
+    # collection, so a long export holds one shell at a time
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in enumerate_cross(300, 3):
+            pass
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_dyadic_cross_nested_in_cross():

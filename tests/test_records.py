@@ -2,10 +2,12 @@
 immutability and pickling, class by class."""
 
 import copy
+import importlib
 import pickle
 
 import pytest
 
+from crossnum._record import Record
 from crossnum import (BoundFormula, CoefficientModel, CrossSpec,
                       GeneralizedWeightSeq, WeightKind, breakpoints_sharp,
                       exact_an_sharp, formula_info, info_complexity_bounds,
@@ -115,3 +117,44 @@ def test_records_of_different_values_differ():
     assert WeightKind.plus(1.0) != WeightKind.star(1.0)
     assert CrossSpec(4, 2) != CrossSpec(2, 4)
     assert len({WeightKind.plus(1), WeightKind.plus(1.0), WeightKind.star(1)}) == 2
+
+
+LAYERS = ("combinatorics", "spectra", "bounds", "tractability", "fourier", "cli")
+
+
+def test_every_record_is_checked_here_and_names_its_fields_once():
+    for layer in LAYERS:
+        importlib.import_module(f"crossnum.{layer}")
+    classes = Record.__subclasses__()
+    assert len(classes) == len(RECORDS)
+    for cls in classes:
+        assert cls.__name__ in RECORDS
+        assert tuple(cls.__annotations__) == cls.__slots__ == RECORDS[cls.__name__][0]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_fields_bind_by_keyword_and_trailing_ones_default(name):
+    record, fields = _record(name)
+    cls, values = type(record), [getattr(record, field) for field in fields]
+    assert cls(**dict(zip(fields, values))) == record
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == record
+    defaults = cls._defaults
+    if defaults:
+        short = cls(*values[:len(fields) - len(defaults)])
+        assert [getattr(short, field) for field in fields[-len(defaults):]] == list(defaults)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_wrong_arguments_are_type_errors(name):
+    record, fields = _record(name)
+    cls, values = type(record), [getattr(record, field) for field in fields]
+    calls = {
+        "surplus positional": lambda: cls(*values, values[0]),
+        "unknown keyword": lambda: cls(*values, no_such_field=1),
+        "field given twice": lambda: cls(*values, **{fields[0]: values[0]}),
+        "missing field": lambda: cls(**dict(zip(fields[1:], values[1:]))),
+    }
+    for case, call in calls.items():
+        with pytest.raises(TypeError):
+            call()
+            pytest.fail(f"{name}: {case} was accepted")

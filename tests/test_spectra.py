@@ -586,6 +586,18 @@ def test_integer_rules_refuse_fractions_and_coerce_integral_floats():
         assert repr(call(2.0)) == repr(call(2)), name
 
 
+def test_intm_order_past_double_range_is_refused():
+    # the order is a smoothness too, so it must be finite as a float
+    huge = 10 ** 400
+    for call in (lambda m: WeightKind.integer_m(m),
+                 lambda m: WeightKind("intm", m),
+                 lambda m: bound_value(BoundFormula.INTM_UPPER_413, 100, 2, m)):
+        with pytest.raises(ValueError, match="integer-m order m"):
+            call(huge)
+        call(2 ** 1023)  # the largest power of two a double holds
+    assert WeightKind.integer_m(2 ** 1023).s == 2.0 ** 1023
+
+
 def test_tolerance_rules_refuse_outside_unit_interval():
     for bad in (0.0, 1.0, 1.5, -0.5, math.nan, math.inf, "0.5"):
         for call in (lambda e: info_complexity_sharp(e, 2, 1.0),
