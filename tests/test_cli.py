@@ -437,17 +437,6 @@ def test_brute_count_far_past_the_recursion_limit(capsys):
     assert json.loads(out)["brute"] == "3001"
 
 
-@pytest.mark.parametrize("argv", [
-    ("spectrum", "--kind", "intm", "--d", "2", "--n", "5"),
-    ("tract", "--kind", "intm", "--d", "2", "--eps", "0.5"),
-    ("verify", "--formula", "intm-upper-413", "--d", "2"),
-])
-def test_intm_order_past_double_range_is_argument_error(capsys, argv):
-    code, out, err = run(capsys, *argv, "--m", "1" + "0" * 400)
-    assert code == EXIT_ARGS and out == ""
-    assert err.startswith("crossnum: integer-m order m") and err.count("\n") == 1
-
-
 def test_cross_export_streams_its_rows(capsys, tmp_path):
     # the peak memory of an export does not grow with its row count
     peaks, sizes = [], []
