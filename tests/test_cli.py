@@ -231,10 +231,8 @@ def test_default_grid_of_sharp_formulas_from_direct_counts(d):
             for r in range(1, top + 1):
                 left = count_cross(r - 1, d) + 1 if r > 1 else 1
                 right = count_cross(r, d)
-                if info.side == "upper" and left <= cap:
-                    grid.add(min(right, cap))
-                elif info.side == "lower" and left <= cap:
-                    grid.add(left)
+                if left <= cap:
+                    grid.add(min(right, cap) if info.side == "upper" else left)
             expected = sorted(n for n in grid if n <= count_cross(top, d))
             assert _default_grid(formula, d, rmax, 10) == expected, (formula, rmax)
 

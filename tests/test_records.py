@@ -7,12 +7,12 @@ import pickle
 
 import pytest
 
-from crossnum._record import Record
 from crossnum import (BoundFormula, CoefficientModel, CrossSpec,
                       GeneralizedWeightSeq, WeightKind, breakpoints_sharp,
                       exact_an_sharp, formula_info, info_complexity_bounds,
                       optimal_truncation, qpt_certify, sharp_table,
                       verify_bound, verify_weight_domination)
+from crossnum._record import Record
 
 
 def _halving(level):
