@@ -3,7 +3,7 @@
 The paper's objects are defined for finite smoothness s > 0, integers
 d, n, r >= 1, finite real radii >= 1, tolerances 0 < eps < 1 and the four
 weight families named in ``FAMILIES``; an integer-m order m is a
-smoothness as well, so it must be finite as a float.  Each rule below
+smoothness as well, so a double must hold it exactly.  Each rule below
 states one of these once: it returns the argument coerced to the type
 the package computes with, or raises ``ValueError`` naming the argument.
 """
@@ -32,12 +32,14 @@ def integer(value, name: str, least: int = 1) -> int:
 
 
 def intm_order(value) -> float:
-    """``value``, a positive integer below 2**1024, as the float smoothness."""
+    """``value``, a positive integer that a double holds exactly, as a float."""
     whole = integer(value, "integer-m order m")
     try:
-        return float(whole)
-    except OverflowError:
-        raise ValueError("integer-m order m must be below 2**1024") from None
+        if float(whole) == whole:
+            return float(whole)
+    except OverflowError:  # past double range
+        pass
+    raise ValueError("integer-m order m must be an integer a double holds exactly")
 
 
 def _real(value, name: str, top: float, what: str) -> float:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -397,11 +396,9 @@ def _cmd_tract(args: argparse.Namespace) -> int:
 
 
 def _cmd_cross(args: argparse.Namespace) -> int:
-    total = combinatorics.count_cross(args.r, args.d)
-    combinatorics._check_guard(total, f"export of N({args.r},{args.d}) has {total} rows")
+    shells = combinatorics._shells(1, args.r, args.d)  # refused before --out opens
     rows = _emit_csv([f"k_{j}" for j in range(1, args.d + 1)] + ["product"],
-                     (list(k) + [math.prod(1 + abs(kj) for kj in k)]
-                      for k in combinatorics.enumerate_cross(args.r, args.d)),
+                     ([*k, product] for product, points in shells for k in points),
                      args.out)
     if args.out is not None:
         summary = _with_meta({"path": args.out, "rows": str(rows)}, args)

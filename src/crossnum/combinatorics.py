@@ -41,7 +41,7 @@ from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from math import isqrt
 from operator import add, mul, sub
 from typing import Callable, Iterator
@@ -59,24 +59,23 @@ GUARD_ENV_VAR = "CROSSNUM_MAX_ENUM"
 _override: ContextVar[int | None] = ContextVar("max_enum", default=None)
 
 
-def enumeration_guard(override: int | None = None) -> int:
+def enumeration_guard() -> int:
     """Maximum number of lattice points a single call may materialise,
     and of table and sum entries a count may visit.
 
-    Precedence: explicit ``override``, then the limit of an enclosing
-    :func:`_guard_override` block, then the CROSSNUM_MAX_ENUM environment
-    variable, then the built-in default of 10^8.
+    Precedence: the limit of an enclosing :func:`_guard_override` block,
+    then the CROSSNUM_MAX_ENUM environment variable, then the built-in
+    default of 10^8.
     """
-    if override is None:
-        override = _override.get()
-    if override is not None:
-        return integer(override, "enumeration guard max_enum")
+    limit = _override.get()
+    if limit is not None:
+        return limit  # checked when the block was entered
     raw = os.environ.get(GUARD_ENV_VAR)
     if raw:
         try:
             raw = int(raw)
         except ValueError:
-            pass  # refused below, by the same rule as the override
+            pass  # refused below, by the integer rule
         return integer(raw, GUARD_ENV_VAR)
     return ENUM_GUARD_DEFAULT
 
@@ -323,9 +322,15 @@ def count_cross(r: int, d: int) -> int:
     return _count_cross(integer(r, "radius r"), integer(d, "dimension d"))
 
 
-def _count_estimate(r: int, d: int) -> int:
-    # Coarse ceiling on C(r, d): the bounding box and a crude product bound.
-    return min((2 * r - 1) ** d, 3 ** d * r * r)
+def _count_ceiling(x: float, d: int) -> float:
+    # Ceiling on the cross count at a real radius x >= 1: the volume upper
+    # bound on A(x, l) times supports and signs, for l <= log2 x since
+    # A(x, l) = 0 once 2^l > x; inf once a term leaves double range.
+    try:
+        return sum((math.comb(d, ell) * 2.0 ** ell * volume_bounds(float(x), ell)[1]
+                    for ell in range(1, min(d, int(math.log2(x))) + 1)), 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def count_cross_bruteforce(r: int, d: int, *, max_enum: int | None = None) -> int:
@@ -333,14 +338,14 @@ def count_cross_bruteforce(r: int, d: int, *, max_enum: int | None = None) -> in
 
     Independent oracle for :func:`count_cross`: no binomials, no
     positive-part recursion; every point is visited exactly once, pruning
-    on the partial product.  Refuses to start if a coarse estimate of the
-    work exceeds the enumeration guard.
+    on the partial product.  Refuses to start if the volume ceiling on
+    the count, which is its work, exceeds the enumeration guard.
     """
     spec = CrossSpec(r, d)
-    estimate = _count_estimate(spec.r, spec.d)
+    estimate = _count_ceiling(spec.r, spec.d)
     with _guard_override(max_enum):
         _check_guard(estimate, f"brute-force count of N({spec.r},{spec.d}) "
-                               f"could visit about {estimate} points")
+                               f"could visit about {estimate:.0f} points")
 
     # Only the nonzero coordinates are placed, as in _shell_points: a point
     # is the zeros up to `start` plus its next nonzero coordinate j >= start,
@@ -409,16 +414,26 @@ def _shell_points(product: int, d: int) -> list[IndexVector]:
     return points
 
 
+def _shells(first: int, last: int, d: int) -> Iterator[tuple[int, list[IndexVector]]]:
+    # The shells first..last of the cross, as (product, points in tuple
+    # order).  Their C(last, d) - C(first - 1, d) points, C(0, d) = 0, are
+    # held against the guard at the call, before any shell is built.
+    size = _count_cross(last, d) - (_count_cross(first - 1, d) if first > 1 else 0)
+    _check_guard(size, f"enumerating shells {first}..{last} of N({last},{d}) "
+                       f"yields {size} points")
+    return ((product, _shell_points(product, d)) for product in range(first, last + 1))
+
+
 def enumerate_cross(r: int, d: int) -> Iterator[IndexVector]:
-    """Yield every k in N(r, d) exactly once, sorted by (prod(1+|k_j|), k).
+    """Stream every k in N(r, d) exactly once, sorted by (prod(1+|k_j|), k).
 
     The order is total and deterministic, so prefixes of the stream are
     exactly the optimal index sets of growing rank (ties broken by the
-    lexicographic order on k).
+    lexicographic order on k).  Its C(r, d) points are held against the
+    guard when this is called, before the first is built.
     """
     spec = CrossSpec(r, d)
-    for product in range(1, spec.r + 1):
-        yield from _shell_points(product, spec.d)
+    return chain.from_iterable(points for _, points in _shells(1, spec.r, spec.d))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -561,11 +576,9 @@ def count_generalized(seq: GeneralizedWeightSeq, eps, d: int, *,
     while ceiling * (1.0 + 1e-9) >= eps_f * (radius + 1):
         radius *= 2
     with _guard_override(max_enum):
-        total = count_cross(radius, d)
-        _check_guard(total, f"generalized count needs the {total} points "
-                            f"of N({radius},{d})")
+        points = enumerate_cross(radius, d)
     count = 0
-    for k in enumerate_cross(radius, d):
+    for k in points:
         product = None
         for kj in k:
             value = seq.evaluator(kj)

@@ -10,14 +10,13 @@ exactly enumerated part plus a certified tail.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable
 
 from ._checks import integer, positive
 from ._record import Record
-from .combinatorics import (IndexVector, _check_guard, _guard_override,
-                            count_cross, enumerate_cross, volume_bounds)
+from .combinatorics import (IndexVector, _count_ceiling, _guard_override, _shells,
+                            enumerate_cross)
 from .spectra import ApproxNumber, exact_an_sharp
 
 
@@ -54,11 +53,8 @@ def optimal_truncation(n: int, d: int, s: float, *,
     d = integer(d, "dimension d")
     with _guard_override(max_enum):
         step = exact_an_sharp(n, d, s)  # validates n and s
-        r = step.r
-        rank = count_cross(r - 1, d) if r > 1 else 0
-        _check_guard(rank, f"truncation operator keeps {rank} modes")
-    indices = tuple(enumerate_cross(r - 1, d)) if r > 1 else ()
-    op = TruncationOperator(indices, rank, d, step.s, r)
+        indices = tuple(enumerate_cross(step.r - 1, d)) if step.r > 1 else ()
+    op = TruncationOperator(indices, len(indices), d, step.s, step.r)
     assert op.rank < n
     return op
 
@@ -100,15 +96,6 @@ class CoefficientModel(Record):
         super().__init__(evaluator, decay_scale, decay_rate)
 
 
-def _count_ceiling(x: float, d: int) -> float:
-    # Continuous ceiling on the cross count at real radius x >= 1, from the
-    # volume upper bound per support size, times supports and signs.
-    total = 1.0
-    for ell in range(1, d + 1):
-        total += math.comb(d, ell) * 2.0 ** ell * volume_bounds(x, ell)[1]
-    return total
-
-
 _TAIL_REL_CUTOFF = 1e-18
 _TAIL_MAX_SHELLS = 100_000
 
@@ -140,22 +127,19 @@ def truncation_error(model: CoefficientModel, op: TruncationOperator,
     """L2 error of the truncation for one coefficient model, by Parseval.
 
     Returns ``(model_error, certified_bound)``: the square root of the
-    enumerated residual energy inside N(tail_radius, d), and the same with
-    the certified decay tail added.  ``tail_radius`` must reach the
-    operator's own radius, so the enumerated part covers every excluded
-    mode the operator is responsible for.
+    residual energy inside N(tail_radius, d), and the same with the
+    certified decay tail added.  ``tail_radius`` must reach the operator's
+    own radius.  Only the excluded modes are enumerated, the shells
+    r..tail_radius, and their points are held against the guard.
     """
     tail_radius = integer(tail_radius, "tail radius")
     if tail_radius < op.r:
         raise ValueError(
             f"tail radius {tail_radius} must reach the operator radius {op.r}")
     with _guard_override(max_enum):
-        total = count_cross(tail_radius, op.d)
-        _check_guard(total, f"error accounting needs the {total} points "
-                            f"of N({tail_radius},{op.d})")
-    # the stream is sorted by product, so its first op.rank points are the
-    # kept modes N(r - 1, d); fsum rounds exactly, whatever the order
-    excluded = itertools.islice(enumerate_cross(tail_radius, op.d), op.rank, None)
-    residual = math.fsum(abs(model.evaluator(k)) ** 2 for k in excluded)
+        shells = _shells(op.r, tail_radius, op.d)
+    # fsum rounds exactly, whatever the order
+    residual = math.fsum(abs(model.evaluator(k)) ** 2
+                         for _, points in shells for k in points)
     tail = _tail_bound(model, op.d, tail_radius)
     return math.sqrt(residual), math.sqrt(residual + tail)

@@ -26,10 +26,12 @@ def test_count_exact_bytes(capsys):
 
 
 def test_count_brute_crosscheck(capsys):
-    code, out, _ = run(capsys, "count", "--r", "6", "--d", "2", "--brute")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["brute"] == payload["count"] and payload["match"] is True
+    # N(2, 30) has 61 points: the oracle's estimate must not grow like 3^d
+    for r, d in (("6", "2"), ("2", "30")):
+        code, out, _ = run(capsys, "count", "--r", r, "--d", d, "--brute")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["brute"] == payload["count"] and payload["match"] is True
 
 
 def test_count_metadata_echoes_guard_override(capsys):

@@ -39,6 +39,9 @@ COMMANDS = {
                                   "--m", "1" + "0" * 400, "--eps", "0.5"], EXIT_ARGS),
     "intm-order-refusal-verify": (["verify", "--formula", "intm-upper-413", "--d", "2",
                                    "--m", "1" + "0" * 400], EXIT_ARGS),
+    # an order that a double would round, 2**53 + 1
+    "intm-order-refusal-rounded": (["tract", "--kind", "intm", "--d", "2",
+                                    "--m", "9007199254740993", "--eps", "0.5"], EXIT_ARGS),
 }
 
 # what a count or a cross export must not load

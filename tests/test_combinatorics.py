@@ -126,7 +126,6 @@ def test_bruteforce_guard_refuses_early():
 def test_guard_env_override(monkeypatch):
     monkeypatch.setenv(GUARD_ENV_VAR, "123")
     assert enumeration_guard() == 123
-    assert enumeration_guard(77) == 77  # explicit argument wins
     monkeypatch.setenv(GUARD_ENV_VAR, "bogus")
     with pytest.raises(ValueError):
         enumeration_guard()
@@ -269,7 +268,7 @@ def test_guard_override_reaches_counting(monkeypatch, forget):
     with pytest.raises(ResourceLimitError):
         count_cross(10 ** 5, 3)
     with _guard_override(10 ** 7):
-        assert enumeration_guard() == 10 ** 7 and enumeration_guard(77) == 77
+        assert enumeration_guard() == 10 ** 7
         assert count_cross(10 ** 5, 3) == expected
     assert enumeration_guard() == 10
     monkeypatch.delenv(GUARD_ENV_VAR)
@@ -437,6 +436,29 @@ def test_enumerate_cross_first_shells():
     assert points[0] == (0, 0, 0)
     assert points[1:] == [(-1, 0, 0), (0, -1, 0), (0, 0, -1),
                           (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def test_enumerate_cross_is_refused_at_the_call():
+    # the cross is held against the guard when its stream is asked for,
+    # before any point is built, not at the first next()
+    for call in (lambda: enumerate_cross(10 ** 9, 3),
+                 lambda: CrossSpec(10 ** 9, 3).points()):
+        with pytest.raises(ResourceLimitError) as info:
+            call()
+        assert info.value.requested == count_cross(10 ** 9, 3)
+
+
+@pytest.mark.parametrize("first, last, d", [(1, 6, 2), (3, 9, 2), (4, 12, 3), (5, 5, 4)])
+def test_shells_are_the_stream_past_the_inner_cross(first, last, d):
+    inner = count_cross(first - 1, d) if first > 1 else 0
+    size = count_cross(last, d) - inner
+    with _guard_override(size - 1), pytest.raises(ResourceLimitError) as info:
+        combinatorics._shells(first, last, d)
+    assert info.value.requested == size
+    with _guard_override(size):
+        shells = list(combinatorics._shells(first, last, d))
+    assert [product for product, _ in shells] == list(range(first, last + 1))
+    assert [k for _, points in shells for k in points] == list(enumerate_cross(last, d))[inner:]
 
 
 def test_enumerate_dyadic_cross_small():

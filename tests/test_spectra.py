@@ -587,13 +587,14 @@ def test_integer_rules_refuse_fractions_and_coerce_integral_floats():
 
 
 def test_intm_order_past_double_range_is_refused():
-    # the order is a smoothness too, so it must be finite as a float
-    huge = 10 ** 400
+    # the order is a smoothness too, so a double must hold it exactly:
+    # neither past double range nor rounded to a neighbour
     for call in (lambda m: WeightKind.integer_m(m),
                  lambda m: WeightKind("intm", m),
                  lambda m: bound_value(BoundFormula.INTM_UPPER_413, 100, 2, m)):
-        with pytest.raises(ValueError, match="integer-m order m"):
-            call(huge)
+        for refused in (10 ** 400, 2 ** 53 + 1):
+            with pytest.raises(ValueError, match="integer-m order m"):
+                call(refused)
         call(2 ** 1023)  # the largest power of two a double holds
     assert WeightKind.integer_m(2 ** 1023).s == 2.0 ** 1023
 
