@@ -327,10 +327,13 @@ def _count_ceiling(x: float, d: int) -> float:
     # bound on A(x, l) times supports and signs, for l <= log2 x since
     # A(x, l) = 0 once 2^l > x; inf once a term leaves double range.
     try:
-        return sum((math.comb(d, ell) * 2.0 ** ell * volume_bounds(float(x), ell)[1]
-                    for ell in range(1, min(d, int(math.log2(x))) + 1)), 1.0)
+        x = float(x)
+        total = 1.0
+        for ell in range(1, min(d, int(math.log2(x))) + 1):
+            total += math.comb(d, ell) * 2.0 ** ell * volume_bounds(x, ell)[1]
     except OverflowError:
         return math.inf
+    return total
 
 
 def count_cross_bruteforce(r: int, d: int, *, max_enum: int | None = None) -> int:
@@ -575,14 +578,13 @@ def count_generalized(seq: GeneralizedWeightSeq, eps, d: int, *,
     # small float headroom; the loop is the actual certificate
     while ceiling * (1.0 + 1e-9) >= eps_f * (radius + 1):
         radius *= 2
-    with _guard_override(max_enum):
-        points = enumerate_cross(radius, d)
     count = 0
-    for k in points:
-        product = None
-        for kj in k:
-            value = seq.evaluator(kj)
-            product = value if product is None else product * value
-        if product >= eps:
-            count += 1
+    with _guard_override(max_enum):
+        for k in enumerate_cross(radius, d):
+            product = None
+            for kj in k:
+                value = seq.evaluator(kj)
+                product = value if product is None else product * value
+            if product >= eps:
+                count += 1
     return count

@@ -121,6 +121,9 @@ def test_bruteforce_guard_refuses_early():
         count_cross_bruteforce(10 ** 6, 3, max_enum=10 ** 6)
     assert info.value.limit == 10 ** 6
     assert info.value.requested > 10 ** 6
+    # a radius past double range has an infinite ceiling: still a refusal
+    with pytest.raises(ResourceLimitError):
+        count_cross_bruteforce(10 ** 400, 1)
 
 
 def test_guard_env_override(monkeypatch):
