@@ -144,10 +144,18 @@ def alpha_exponent(n: int, d: int) -> float:
     return 2.0 + math.log2(d / log2_n + 0.5)
 
 
+def _exp(x: float) -> float:
+    # e^x, and inf past double range (the trace and the constant), as in weight
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def asymptotic_constant(d: int, s: float) -> float:
     """lim_n a_n * n^s / (ln n)^{(d-1)s} for the sharp weight: (2^d/(d-1)!)^s."""
     d, s = integer(d, "dimension d"), positive(s, "smoothness s")
-    return math.exp(s * (d * _LN2 - math.lgamma(d)))
+    return _exp(s * (d * _LN2 - math.lgamma(d)))
 
 
 def _is_valid(formula: BoundFormula, n: int, d: int) -> bool:
@@ -305,6 +313,6 @@ def limit_ratio_trace(d: int, s: float,
     for r in radii:
         n = count_cross(r, d)
         ln_n = math.log(n)
-        ratio = math.exp(s * (ln_n - math.log(r) - (d - 1) * math.log(ln_n)))
+        ratio = _exp(s * (ln_n - math.log(r) - (d - 1) * math.log(ln_n)))
         rows.append((n, ratio))
     return rows

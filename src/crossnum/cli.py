@@ -37,7 +37,7 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import bounds, combinatorics
-from ._checks import FAMILIES, integer, intm_order
+from ._checks import FAMILIES, integer, intm_order, positive
 from .errors import ResourceLimitError
 
 if TYPE_CHECKING:
@@ -167,7 +167,7 @@ def _emit_csv(header: list[str], rows: Iterable[list], out: str | None) -> int:
 def _spectrum_record(table: spectra.SpectrumTable) -> dict[str, object]:
     record: dict[str, object] = {"kind": table.kind.label(), "d": table.d,
                                  "certification": table.certification,
-                                 "values": list(table.values)}
+                                 "values": table.values}
     if table.radius is not None:
         record["radius"] = table.radius
     return record
@@ -201,12 +201,12 @@ def _certificate_record(cert: tractability.QptCertificate) -> dict[str, object]:
         "s": cert.s,
         "t": cert.t,
         "C_t": cert.c_t,
-        "grid": [[eps, d] for eps, d in cert.grid],
+        "grid": cert.grid,
         "pass": cert.passed,
-        "violations": [[eps, d] for eps, d in cert.violations],
-        "worst_point": list(cert.worst_point),
+        "violations": cert.violations,
+        "worst_point": cert.worst_point,
         "slack": cert.slack,
-        "per_point_t": list(cert.per_point_t),
+        "per_point_t": cert.per_point_t,
     }
 
 
@@ -332,7 +332,7 @@ def _verify_formula(formula: bounds.BoundFormula, args: argparse.Namespace,
     else:
         if args.s is None:
             raise ValueError(f"{formula.value} requires --s")
-        s = args.s
+        s = positive(args.s, "smoothness s")  # before the grid counts anything
     if args.d is None:
         raise ValueError("verify requires --d")
     grid = _default_grid(formula, args.d, args.rmax, args.nmax)

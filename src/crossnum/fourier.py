@@ -17,6 +17,7 @@ from ._checks import integer, positive
 from ._record import Record
 from .combinatorics import (IndexVector, _count_ceiling, _guard_override, _shells,
                             enumerate_cross)
+from .errors import ResourceLimitError
 from .spectra import ApproxNumber, exact_an_sharp
 
 
@@ -103,14 +104,19 @@ _TAIL_MAX_SHELLS = 100_000
 def _tail_bound(model: CoefficientModel, d: int, radius: int) -> float:
     # Everything outside N(radius, d) in dyadic product shells
     # [2^j (radius+1), 2^{j+1} (radius+1)): at most the count ceiling at the
-    # outer edge, each term at most (inner edge)^{-2t}.
+    # outer edge, each term at most (inner edge)^{-2t}.  A ceiling past double
+    # range with its axis part 2 d x finite overflowed by d, not by the edge.
     two_t = 2.0 * model.decay_rate
     scale_sq = model.decay_scale ** 2
     total = 0.0
     for j in range(_TAIL_MAX_SHELLS):
         inner = float(radius + 1) * 2.0 ** j
         outer = inner * 2.0
-        term = scale_sq * _count_ceiling(outer, d) * inner ** (-two_t)
+        ceiling = _count_ceiling(outer, d)
+        if ceiling == math.inf and 2.0 * d * outer < math.inf:
+            raise ResourceLimitError(f"count ceiling of the tail shell up to "
+                                     f"{outer:g} leaves double range in d = {d}")
+        term = scale_sq * ceiling * inner ** (-two_t)
         if not math.isfinite(term):
             break  # shell arithmetic left double range before settling
         total += term

@@ -76,42 +76,23 @@ class WeightKind(Record):
         return f"{self.family}({self.s:g})"
 
 
-def _below_switch(s: float) -> float:
-    # r^s at the last radius r below the switch (1.0 if there is none)
-    if 1024 * s <= 1000.0:  # float(r) overflows first, past 2^1024 - 2^970 - 1
-        return sys.float_info.max ** s
-    bits = int(1000.0 / s)  # then the largest b with b * s <= 1000.0
-    while bits * s > 1000.0:
-        bits -= 1
-    while (bits + 1) * s <= 1000.0:
-        bits += 1
-    return float(max(1, (1 << bits) - 1)) ** s
+def _power(r: int, s: float) -> float:
+    """r^s for an int r >= 1 and s > 0: non-decreasing in r, inf past double range.
 
-
-def _power(r: int, s: float, reciprocal: bool = False) -> float:
-    """r^s, or r^-s with ``reciprocal``, for an integer r >= 1 and s > 0.
-
-    Non-decreasing in r (non-increasing with ``reciprocal``) by
-    construction.  Below the switch (bit length of r times s at most 1000,
-    float(r) finite) it is float(r) ** s, the arithmetic of the best-first
-    walk, bit for bit.  Beyond it, r^s is 2 ** (s log2 r): math.log2 of an
-    int is exact at powers of two and every later step is a monotone
-    rounding, so it never falls as r grows.  That branch is clamped at the
-    power of the last radius below the switch, so r^s never falls as r
-    crosses the switch either.  r^s past double range is inf, r^-s 0.0.
+    Wherever float(r) is finite it is float(r) ** s, the best-first walk's
+    arithmetic bit for bit, monotone as float(r) and pow are monotone
+    roundings.  Where float(r) overflows (r >= 2^1024 - 2^970, where r^s is
+    still finite for s < 1) it is 2 ** (s log2 r): math.log2 of an int is
+    exact at powers of two and every later step rounds monotonically.  That
+    branch is clamped at float_max ** s, the power of the radii that float(r)
+    rounds to float_max, so r^s never falls at the boundary either.
     """
-    if r.bit_length() * s <= 1000.0:
-        try:
-            power = float(r) ** s
-            return 1.0 / power if reciprocal else power
-        except OverflowError:  # float(r) itself, for s < 1000/1024
-            pass
-    last = _below_switch(s)
-    exponent = s * math.log2(r)
-    if reciprocal:
-        return min(2.0 ** -exponent, 1.0 / last)
     try:
-        return max(2.0 ** exponent, last)
+        try:
+            base = float(r)
+        except OverflowError:
+            return max(2.0 ** (s * math.log2(r)), sys.float_info.max ** s)
+        return base ** s
     except OverflowError:
         return math.inf
 
@@ -174,8 +155,8 @@ class ApproxNumber(Record):
         setfield(self, "s", s)
 
     def value(self) -> float:
-        # the enumeration's arithmetic, 1 / float(r) ** s, below the switch
-        return _power(self.r, self.s, reciprocal=True)
+        # the walk's own 1.0 / weight, so a_n = r^-s is 0.0 past double range
+        return 1.0 / _power(self.r, self.s)
 
 
 class Breakpoint(Record):

@@ -327,6 +327,13 @@ def test_limit_ratio_trace_monotone_towards_constant():
         assert all(a > b for a, b in zip(gaps, gaps[1:])), (d, ratios)
 
 
+def test_trace_past_double_range_is_inf():
+    # e^x past double range is inf, as a weight past it is
+    assert limit_ratio_trace(2, 1e300, [100]) == [(1529, math.inf)]
+    assert asymptotic_constant(2, 1e300) == math.inf
+    assert limit_ratio_trace(3, 1e300, [2]) == [(7, 0.0)]  # ln 7 < ln 2 + 2 ln ln 7
+
+
 def test_limit_ratio_trace_validation():
     with pytest.raises(ValueError):
         limit_ratio_trace(2, 1.0, [1])

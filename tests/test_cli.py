@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from crossnum import (BoundFormula, count_cross, formula_info,
+from crossnum import (BoundFormula, combinatorics, count_cross, formula_info,
                       info_complexity_bounds, WeightKind)
 from crossnum.cli import (EXIT_ARGS, EXIT_CHECK, EXIT_OK, EXIT_RESOURCE,
                           _default_grid, build_parser, main)
@@ -205,6 +205,15 @@ def test_verify_missing_parameters(capsys):
     code, _, err = run(capsys, "verify", "--formula", "intm-upper-413",
                        "--d", "2", "--s", "2")
     assert code == EXIT_ARGS and "requires --m" in err
+
+
+def test_verify_refuses_bad_s_before_any_count(capsys, forget):
+    forget()
+    code, out, err = run(capsys, "verify", "--formula", "sharp-lower-remark",
+                         "--d", "3", "--s", "0")
+    assert (code, out) == (EXIT_ARGS, "")
+    assert err == "crossnum: smoothness s must be finite and positive, got 0.0\n"
+    assert combinatorics._count_cross.cache_info().misses == 0
 
 
 def test_verify_lower_start_past_double_range(capsys):

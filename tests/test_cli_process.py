@@ -28,6 +28,8 @@ COMMANDS = {
                "--eps", "0.1", "--exact"], EXIT_OK),
     "cross": (["cross", "--r", "4", "--d", "2"], EXIT_OK),
     "trace": (["trace", "--d", "3", "--s", "1", "--rs", "10,100"], EXIT_OK),
+    "trace-past-double-range": (["trace", "--d", "2", "--s", "1e300", "--rs", "100"],
+                                EXIT_OK),
     "argument-refusal": (["tract", "--kind", "intm", "--d", "2", "--s", "1",
                           "--eps", "0.1"], EXIT_ARGS),
     "resource-refusal": (["spectrum", "--kind", "sharp", "--d", "3", "--s", "1",

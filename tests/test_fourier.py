@@ -142,6 +142,16 @@ def test_tail_divergence_detected():
         truncation_error(model, op, tail_radius=5)
 
 
+def test_tail_ceiling_past_double_range_is_a_resource_refusal():
+    # in d = 300 the count ceiling of a finite shell edge leaves double range
+    # long before a decay rate of 1 settles the tail; the refusal names both
+    model = CoefficientModel(lambda k: 1.0, 1.0, 1.0)
+    op = optimal_truncation(3, 300, 1.0)
+    with pytest.raises(ResourceLimitError,
+                       match=r"tail shell up to 2\.61337e\+41 leaves double range in d = 300"):
+        truncation_error(model, op, 2)
+
+
 def test_complex_coefficients_accepted():
     model = CoefficientModel(lambda k: 1j * product_weight(k) ** -1.0, 1.0, 1.0)
     op = optimal_truncation(5, 1, 1.0)

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -141,8 +142,9 @@ def test_weight_monotone_and_sign_symmetric(kind, d, box):
             assert w_up >= w and -1.0 / w_up >= -1.0 / w, (k, j)
 
 
-# first radius whose r^s leaves the float arithmetic for log space: bit
-# length times s past 1000, or (s = 0.5) float(r) overflowing near 2^1024
+# radii where bit length times s passes 1000 and, at s = 0.5, where float(r)
+# overflows and the log-space branch starts: r^s stays monotone across each
+# and is float(r) ** s bit for bit below it
 _LOG_SPACE_SWITCH = [(0.5, 2 ** 1024 - 2 ** 970), (1.0, 2 ** 1000),
                      (1.5, 2 ** 666), (3.0, 2 ** 333), (7.0, 2 ** 142)]
 
@@ -150,9 +152,8 @@ _LOG_SPACE_SWITCH = [(0.5, 2 ** 1024 - 2 ** 970), (1.0, 2 ** 1000),
 @pytest.mark.parametrize("s, switch", _LOG_SPACE_SWITCH,
                          ids=[f"s={s}" for s, _ in _LOG_SPACE_SWITCH])
 def test_weight_monotone_across_log_space_switch(s, switch):
-    # the same lemma for sharp weights and a_n = r^-s on both sides of the
-    # switch, and past it at powers of two; below it the values are the
-    # float arithmetic float(r) ** s bit for bit
+    # the same lemma for sharp weights and a_n = r^-s on both sides of each
+    # radius, and past it at powers of two, where r^s leaves double range
     kind = WeightKind.sharp(s)
     bits = switch.bit_length()
     edges = [switch] + [1 << b for b in range(bits - 2, bits + 400, 7)]
@@ -211,6 +212,12 @@ def test_exact_an_sharp_values_are_log_space():
         exact_an_sharp(5, 2, -1.0)
 
 
+def test_approx_number_is_correctly_rounded_past_2_to_1000():
+    # 71^150 is about 2^922: a_n is 1 / float(71) ** 150, not a log-space power
+    exact = Fraction(1, 71 ** 150)
+    assert abs(Fraction(ApproxNumber(71, 150.0).value()) - exact) <= exact * 1e-15
+
+
 def test_sharp_tables_check_the_guard_up_front():
     # the request is refused before any count or table entry is made
     started = time.perf_counter()
@@ -247,11 +254,13 @@ def test_sharp_table_matches_pointwise_queries():
 # -- enumerated spectra -----------------------------------------------------
 
 def test_rearranged_spectrum_sharp_cross_check():
-    for d, s in ((1, 1.0), (2, 0.5), (3, 2.0)):
+    # bit for bit, also where r^s leaves double range and a_n is 0.0
+    for d, s in ((1, 1.0), (2, 0.5), (3, 2.0), (1, 150.0), (1, 200.0),
+                 (2, 210.5), (2, 300.0)):
         table = rearranged_spectrum(WeightKind.sharp(s), d, 200)
         exact = sharp_table(d, s, 200)
         assert table.certification == "enumerated-certified"
-        assert table.values == pytest.approx(exact.values, rel=1e-13)
+        assert table.values == exact.values, (d, s)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
