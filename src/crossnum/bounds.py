@@ -144,10 +144,10 @@ def alpha_exponent(n: int, d: int) -> float:
     return 2.0 + math.log2(d / log2_n + 0.5)
 
 
-def _exp(x: float) -> float:
-    # e^x, and inf past double range (the trace and the constant), as in weight
+def _exp(x: float, minus_one: bool = False) -> float:
+    # e^x (e^x - 1 with minus_one), and inf past double range, as in weight
     try:
-        return math.exp(x)
+        return math.expm1(x) if minus_one else math.exp(x)
     except OverflowError:
         return math.inf
 
@@ -246,10 +246,11 @@ def verify_bound(formula: BoundFormula, d: int, s: float,
                  max_enum: int | None = None) -> VerificationReport:
     """Check ``bound_value`` against the exact spectrum on a grid of n.
 
-    Sharp-family formulas compare against the exact breakpoint values;
-    plus/star/intm formulas compare against a certified enumerated
-    spectrum.  Pass ``spectrum`` to share one table across several
-    formulas; otherwise a table covering max(n_grid) is computed here.
+    Sharp-family formulas compare against the exact breakpoint values
+    r^-s in log space, where neither side underflows; plus/star/intm
+    formulas compare against a certified enumerated spectrum.  Pass
+    ``spectrum`` to share one table across several formulas; otherwise a
+    table covering max(n_grid) is computed here.
     """
     # imported here: the CLI's parser reads this module, and the commands
     # that never check a bound do not need the spectra
@@ -265,7 +266,7 @@ def verify_bound(formula: BoundFormula, d: int, s: float,
 
     with _guard_override(max_enum):  # the table and the sharp values count
         if info.family == "sharp":
-            exact_at: Callable[[int], float] = lambda n: exact_an_sharp(n, d, s).value()
+            spectrum = None  # the exact values are breakpoints, not a table
         else:
             if spectrum is None:
                 kind = WeightKind(info.family, s)
@@ -276,22 +277,24 @@ def verify_bound(formula: BoundFormula, d: int, s: float,
             if len(spectrum) < grid[-1]:
                 raise ValueError(
                     f"spectrum table of length {len(spectrum)} cannot cover n = {grid[-1]}")
-            table = spectrum
-            exact_at = lambda n: table.sigma(n)
 
         checked = skipped = 0
         violations: list[tuple[int, float, float]] = []
         max_slack = -math.inf
-        for n in grid:
-            bound = bound_value(formula, n, d, s)
-            if bound is None:
+        for n in grid:  # bound_value on arguments checked above
+            if not _is_valid(formula, n, d):
                 skipped += 1
                 continue
-            exact = exact_at(n)
-            if info.side == "upper":
-                slack = (exact - bound) / bound
+            log_bound = _log_value(formula, n, d, s)
+            bound = math.exp(log_bound)
+            if spectrum is None:  # in log space, as 1 / float(r) ** s may be 0.0
+                a_n = exact_an_sharp(n, d, s)
+                exact = a_n.value()
+                excess = _exp(-s * math.log(a_n.r) - log_bound, minus_one=True)
             else:
-                slack = (bound - exact) / bound
+                exact = spectrum.sigma(n)
+                excess = (exact - bound) / bound  # exact / bound - 1
+            slack = excess if info.side == "upper" else 0.0 - excess  # never -0.0
             checked += 1
             max_slack = max(max_slack, slack)
             if slack > TOLERANCE:

@@ -104,24 +104,25 @@ _TAIL_MAX_SHELLS = 100_000
 def _tail_bound(model: CoefficientModel, d: int, radius: int) -> float:
     # Everything outside N(radius, d) in dyadic product shells
     # [2^j (radius+1), 2^{j+1} (radius+1)): at most the count ceiling at the
-    # outer edge, each term at most (inner edge)^{-2t}.  A ceiling past double
-    # range with its axis part 2 d x finite overflowed by d, not by the edge.
+    # outer edge, each term at most (inner edge)^{-2t}.  Terms still growing
+    # at the end of double range mean shell counts in dimension d outgrowing
+    # the decay; falling terms that never settle, a decay too close to 1/2.
     two_t = 2.0 * model.decay_rate
     scale_sq = model.decay_scale ** 2
-    total = 0.0
+    total, last, growing = 0.0, 0.0, True
     for j in range(_TAIL_MAX_SHELLS):
         inner = float(radius + 1) * 2.0 ** j
-        outer = inner * 2.0
-        ceiling = _count_ceiling(outer, d)
-        if ceiling == math.inf and 2.0 * d * outer < math.inf:
-            raise ResourceLimitError(f"count ceiling of the tail shell up to "
-                                     f"{outer:g} leaves double range in d = {d}")
-        term = scale_sq * ceiling * inner ** (-two_t)
+        term = scale_sq * _count_ceiling(2.0 * inner, d) * inner ** (-two_t)
         if not math.isfinite(term):
             break  # shell arithmetic left double range before settling
         total += term
         if j > 0 and term <= total * _TAIL_REL_CUTOFF:
             return total
+        growing, last = term > last, term
+    if growing:
+        raise ResourceLimitError(
+            f"tail shell up to {2.0 * inner:g} leaves double range in d = {d} while "
+            f"the tail terms still grow at decay rate {model.decay_rate}")
     raise ValueError(
         f"certified tail did not converge; decay rate {model.decay_rate} "
         "is too close to 1/2")

@@ -145,6 +145,14 @@ def test_verify_sharp_upper_breakpoints():
     assert report.max_slack <= TOLERANCE
 
 
+def test_verify_sharp_lower_below_double_range():
+    # at n = 1998 (r = 1000) r^103 overflows while r^-103 and the bound are
+    # subnormal; at s = 150 the bound itself underflows to 0.0
+    for s in (103.0, 150.0):
+        report = verify_bound(BoundFormula.SHARP_LOWER_REMARK, 1, s, [1998])
+        assert report.passed and report.checked == 1 and report.max_slack < 0.0, s
+
+
 def test_verify_pre_upper_d5():
     grid = breakpoint_grid(5, 2 ** 5, "upper")
     report = verify_bound(BoundFormula.PRE_UPPER_46, 5, 1.0, grid)

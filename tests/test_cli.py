@@ -125,6 +125,15 @@ def test_verify_single_formula_passes(capsys):
 
 
 
+def test_verify_sharp_lower_below_double_range(capsys):
+    # r^103 overflows for r near 1000, where the bound is still subnormal
+    code, out, _ = run(capsys, "verify", "--formula", "sharp-lower-remark",
+                       "--d", "1", "--s", "103")
+    payload = json.loads(out)
+    assert code == EXIT_OK and payload["pass"] is True and payload["violations"] == []
+    assert payload["checked"] == 928 and payload["max_slack"] < 0.0
+
+
 def test_verify_nothing_checked_is_valid_json(capsys):
     # every grid point lies below the formula's validity range
     code, out, _ = run(capsys, "verify", "--formula", "sharp-lower-43",

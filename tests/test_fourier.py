@@ -144,12 +144,23 @@ def test_tail_divergence_detected():
 
 def test_tail_ceiling_past_double_range_is_a_resource_refusal():
     # in d = 300 the count ceiling of a finite shell edge leaves double range
-    # long before a decay rate of 1 settles the tail; the refusal names both
+    # while the terms still grow, long before a decay rate of 1 settles the
+    # tail; the refusal names d, the edge and the rate
     model = CoefficientModel(lambda k: 1.0, 1.0, 1.0)
     op = optimal_truncation(3, 300, 1.0)
     with pytest.raises(ResourceLimitError,
-                       match=r"tail shell up to 2\.61337e\+41 leaves double range in d = 300"):
+                       match=r"^tail shell up to 2\.61337e\+41 leaves double range in "
+                             r"d = 300 while the tail terms still grow at decay rate 1\.0$"):
         truncation_error(model, op, 2)
+
+
+def test_tail_still_growing_in_d2_is_a_resource_refusal():
+    # the barely summable decay of test_tail_divergence_detected in d = 2:
+    # the log factor of the shell counts outgrows x^-2e-7 up to double range
+    with pytest.raises(ResourceLimitError,
+                       match=r"^tail shell up to 6\.58335e\+304 leaves double range in "
+                             r"d = 2 while the tail terms still grow at decay rate 0\.5000001$"):
+        _tail_bound(CoefficientModel(lambda k: 0.0, 1.0, 0.5000001), 2, 5)
 
 
 def test_complex_coefficients_accepted():

@@ -212,8 +212,9 @@ def test_exact_an_sharp_values_are_log_space():
         exact_an_sharp(5, 2, -1.0)
 
 
-def test_approx_number_is_correctly_rounded_past_2_to_1000():
-    # 71^150 is about 2^922: a_n is 1 / float(71) ** 150, not a log-space power
+def test_approx_number_is_accurate_past_old_switch():
+    # bit length 7 times s = 150 is past 1000, yet a_n is 1 / float(71) ** 150,
+    # two roundings from 71^-150
     exact = Fraction(1, 71 ** 150)
     assert abs(Fraction(ApproxNumber(71, 150.0).value()) - exact) <= exact * 1e-15
 
