@@ -18,11 +18,12 @@ the support of k and the signs on it:
 and A satisfies A(r, l) = sum_{u >= 2} A(r // u, l - 1), whose arguments
 are again floor quotients r // m.  One call computes the whole level
 vector (A(r, 1), ..., A(r, L)) over that quotient set: small quotients
-from prefix tables built by a divisor sieve and shared between the calls
-of one table size, large ones summed level by level, split at their
-square roots into single factors and blocks of equal quotient.  A bounded
-cache keeps the vectors of recent radii, so C(r, d) for every d is a
-short sum with binomials.
+from prefix tables built by a divisor sieve, one table per level kept for
+every later call and read as a prefix by each radius that needs no more
+of it; large ones summed level by level, split at their square roots into
+single factors and blocks of equal quotient.  A bounded cache keeps the
+vectors of recent radii, so C(r, d) for every d is a short sum with
+binomials.
 Before counting, the work is estimated from (r, L) and held against the
 enumeration guard.  An independent depth-first enumerator over Z^d is
 kept alongside as an oracle for this identity.
@@ -41,7 +42,7 @@ from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from math import isqrt
 from operator import add, mul, sub
 from typing import Callable, Iterator
@@ -128,19 +129,18 @@ class CrossSpec(Record):
 
 
 _RADII_CAP = 256     # radii whose level vector is kept
-_TABLE_SIZES = 2     # table sizes T whose small-quotient tables are kept
-_FULL_TABLE = 1 << 12  # radii up to this are read straight from the tables
+_FULL_TABLE = 1 << 12  # radii up to this read every level from the tables
 _levels: dict[int, tuple[int, ...]] = {}    # r -> (A(r, 1), ..., A(r, k))
-_tables: dict[int, list[array]] = {}        # T -> [S_1, S_2, ...], S_l[n] = A(n, l)
-_counting_lock = threading.Lock()  # guards table growth and both caches' caps
+_tables: list[array] = []   # [S_1, S_2, ...], S_l[n] = A(n, l) on 0..T_l
+_counting_lock = threading.Lock()  # guards table growth and the radii cap
 
 
 def _table_size(r: int) -> int:
     # The least power of two T >= r^(2/3), so 8^k >= r^2; T >= sqrt(r) too.
     # Radii up to 2^12 take the least power of two T >= r instead: no level
-    # then needs the large-quotient sums, and the radii of one power of two
-    # share their tables, as the many nearby radii of a sweep or of a run
-    # of lookups do.
+    # then needs the large-quotient sums.  A held table of a level serves
+    # as a prefix every radius whose T is at most its own; since sizes are
+    # powers of two, a level grows through each size at most once.
     return max(1 << ((r * r - 1).bit_length() + 2) // 3,
                min(1 << (r - 1).bit_length(), _FULL_TABLE))
 
@@ -153,9 +153,10 @@ def _table_levels(size: int, depth: int) -> int:
 
 def _sieve_work(size: int, count: int) -> int:
     # Entries visited building the tables S_1..S_count on 0..T: T + 1 for
-    # S_1; the sieve of S_l visits sum_{u=2}^{n} T // u <= T ln n <
-    # T bitlen(n) entries, n = T >> (l - 1), and its differences and
-    # prefix sums 3T + 3 more.
+    # S_1; the sieve of S_l visits one entry per pair (u, k), on whichever
+    # side of its split, at most sum_{u=2}^{n} T // u <= T ln n <
+    # T bitlen(n) entries, n = T >> (l - 1), and its differences, counts
+    # and prefix sums at most 3T + 3 more.
     return sum(size + 1 if ell == 1 else
                size * ((size >> (ell - 1)).bit_length() + 3) + 3
                for ell in range(1, count + 1))
@@ -174,7 +175,8 @@ def _counting_work(r: int, depth: int) -> int:
     """Upper bound on the entries visited computing A(r, 1..depth).
 
     Deterministic in (r, depth): the small tables are charged as if built
-    afresh.
+    afresh at T = _table_size(r), even where tables held from an earlier
+    call already cover them, so a refusal never depends on what is held.
     """
     if depth <= 1:
         return 0
@@ -184,40 +186,44 @@ def _counting_work(r: int, depth: int) -> int:
     return _sieve_work(size, _table_levels(size, depth)) + _sums_work(r, size, depth)
 
 
-def _next_table(tables: list[array], size: int) -> array:
-    # S_l on 0..T for l = len(tables) + 1, from S_{l-1} by a divisor sieve:
-    # a_l(u k) += a_{l-1}(k) for every factor u >= 2.  int64 holds it:
-    # A(n, l) < n^2 < 2^63 for n <= T < 2^31, and an array refuses a larger
-    # value, it never wraps.
-    if not tables:
+def _next_table(prev: array | None, ell: int, size: int) -> array:
+    # S_l on 0..T from S_{l-1} by a divisor sieve: a_l(u k) += a_{l-1}(k) for
+    # every factor u >= 2 and k >= 2^(l-1).  As k <= T // 2, S_{l-1} is read
+    # on 0..T // 2 only, however long the held table is.  The pairs (u, k)
+    # split at b = isqrt(T // 2^(l-1)): for u <= b a slice over k, for u > b
+    # (so k <= T // (b + 1)) a slice over u per k, about b + T / b slices in
+    # place of T / 2^(l-1).  int64 holds it: A(n, l) < n^2 < 2^63 for
+    # n <= T < 2^31, and an array refuses a larger value, it never wraps.
+    if prev is None:
         return array("q", [0]) + array("q", range(size))
-    ell = len(tables) + 1
-    prev = tables[-1]
     step = [0]                          # a_{l-1}(n) = S_{l-1}(n) - S_{l-1}(n-1)
-    step += map(sub, islice(prev, 1, None), prev)
+    step += map(sub, islice(prev, 1, size // 2 + 1), prev)
     lowest = 1 << (ell - 1)             # least k with a_{l-1}(k) > 0
+    split = isqrt(size // lowest)
     counts = [0] * (size + 1)
-    for u in range(2, size // lowest + 1):
+    for u in range(2, split + 1):
         hi = size // u
         view = slice(u * lowest, u * hi + 1, u)
         counts[view] = map(add, counts[view], step[lowest:hi + 1])
+    for k in range(lowest, size // (split + 1) + 1):
+        view = slice((split + 1) * k, size // k * k + 1, k)
+        counts[view] = map(add, counts[view], repeat(step[k]))
     return array("q", accumulate(counts))
 
 
 def _small_tables(r: int, depth: int) -> tuple[list[array], int]:
-    # The tables S_1, S_2, ... on 0..T, T = _table_size(r), grown one level
-    # at a time and shared by the calls of the same T; the last two sizes
-    # used are kept.
+    # The tables S_1, S_2, ... covering 0..T, T = _table_size(r).  A held
+    # level is rebuilt, at this T, only when it is shorter; the levels go in
+    # order, so the level below is already long enough.  A rebuilt table is
+    # swapped in under the lock, and a caller keeps reading its own list.
     size = _table_size(r)
     count = _table_levels(size, depth)
     with _counting_lock:
-        tables = _tables.pop(size, [])
-        _tables[size] = tables
-        if len(_tables) > _TABLE_SIZES:
-            del _tables[next(iter(_tables))]
-        while len(tables) < count:
-            tables.append(_next_table(tables, size))
-        return tables[:count], size
+        for ell in range(1, count + 1):
+            if ell > len(_tables) or len(_tables[ell - 1]) <= size:
+                below = _tables[ell - 2] if ell > 1 else None
+                _tables[ell - 1:ell] = [_next_table(below, ell, size)]
+        return _tables[:count], size
 
 
 def _level_vector(r: int, depth: int) -> tuple[int, ...]:

@@ -2,6 +2,7 @@ import gc
 import inspect
 import itertools
 import math
+import operator
 import random
 import sys
 import threading
@@ -195,8 +196,10 @@ def test_level_vector_matches_recursion(forget, r, cold, shallow_first):
 
 def _entries_visited(r, depth):
     # The entries the loops of _level_vector visit at depth >= 3, read off
-    # their ranges, as (sieve, sums).  The sieve: S_1, then per level its
-    # differences and prefix sums and one entry per (u, k) with u k <= T.
+    # their ranges, as (sieve, sums).  The sieve, its tables built afresh:
+    # S_1, then per level its differences up to T // 2, its counts and
+    # prefix sums and one entry per (u, k) with u k <= T, on either side of
+    # the split.
     # The sums: level 1 at the large quotients (with none, the tables'
     # levels are read at r), then per level, at each m, the factors
     # u <= u0 read from the level below, the single factors up to isqrt(q)
@@ -205,9 +208,12 @@ def _entries_visited(r, depth):
     levels = combinatorics._table_levels(size, depth)
     sieve = size + 1
     for ell in range(2, levels + 1):
+        # the split sieve: a slice over k per u <= b, then over u > b per k
         lowest = 1 << (ell - 1)
-        sieve += 3 * size + 3 + sum(size // u - lowest + 1
-                                    for u in range(2, size // lowest + 1))
+        split = math.isqrt(size // lowest)
+        sieve += size // 2 + 1 + 2 * (size + 1)
+        sieve += sum(size // u - lowest + 1 for u in range(2, split + 1))
+        sieve += sum(size // k - split for k in range(lowest, size // (split + 1) + 1))
     large = r // (size + 1)
     sums = large or levels
     for ell in range(2 if large else levels + 1, depth + 1):
@@ -365,19 +371,90 @@ def test_every_max_enum_parameter_is_covered():
     assert len(takers) == 9
 
 
-def test_counting_caches_stay_bounded(forget):
-    # each radius uses the tables of its own size T; the two sizes used
-    # last are kept, so 10^5 + 1, of the size of 10^5, keeps that one
+def _sieve_tables(size, levels):
+    # Oracle for the small tables: S_1..S_levels on 0..size by the plain
+    # double loop a_l(u k) += a_{l-1}(k) over every u >= 2, k >= 1.
+    step = [0, 0] + [1] * (size - 1)
+    tables = [list(itertools.accumulate(step))]
+    for _ in range(1, levels):
+        counts = [0] * (size + 1)
+        for u in range(2, size + 1):
+            for k in range(1, size // u + 1):
+                counts[u * k] += step[k]
+        step = counts
+        tables.append(list(itertools.accumulate(counts)))
+    return tables
+
+
+def _assert_held_tables_fresh():
+    # each held S_l equals a fresh build at its own length
+    for ell, table in enumerate(combinatorics._tables, 1):
+        assert list(table) == _sieve_tables(len(table) - 1, ell)[-1], (ell, len(table))
+
+
+def test_split_sieve_matches_double_loop():
+    # every table size on both sides of each split point, at every level
+    # up to one past the last with a nonzero entry
+    oracle = {top: _sieve_tables(top, top.bit_length()) for top in (300, 4097)}
+    for size in itertools.chain(range(2, 301), (4095, 4096, 4097)):
+        expected = oracle[300 if size <= 300 else 4097]
+        prev = None
+        for ell in range(1, size.bit_length() + 1):
+            prev = combinatorics._next_table(prev, ell, size)
+            assert list(prev) == expected[ell - 1][:size + 1], (size, ell)
+
+
+@pytest.mark.parametrize("asks", [
+    ((10 ** 6, 3), (5000, 9), (10 ** 5, 6)),
+    ((5000, 9), (10 ** 6, 4), (3000, 8), (10 ** 5, 6)),
+], ids=["large-first", "deep-first"])
+def test_held_tables_serve_warm_orders(forget, asks):
+    # a smaller radius at greater depth reads the held tables of a larger
+    # radius as prefixes and builds the levels past them; a larger radius
+    # after a deep one rebuilds only the levels it needs longer
     forget()
-    for r in (10 ** 5, 10 ** 6, 10 ** 5 + 1, 10 ** 7):
-        count_cross(r, 3)
-        assert len(combinatorics._tables) <= 2
+    for r, depth in asks:
+        expected = tuple(_recursive_positive_count(r, ell) for ell in range(1, depth + 1))
+        assert combinatorics._level_vector(r, depth) == expected, (r, depth)
+
+
+def test_held_tables_make_no_builds_for_smaller_radii(monkeypatch, forget):
+    forget()
+    count_cross(10 ** 7, 5)
+    builds = []
+    real = combinatorics._next_table
+
+    def counted(prev, ell, size):
+        builds.append((ell, size))
+        return real(prev, ell, size)
+
+    monkeypatch.setattr(combinatorics, "_next_table", counted)
+    count_cross(10 ** 5, 5)
+    count_cross(10 ** 6, 4)
+    assert builds == []
+    # levels past the held ones are built at the size of the radius asked
+    count_cross(5000, 8)
+    assert builds == [(ell, 4096) for ell in range(5, 8)]
+
+
+def test_counting_caches_stay_bounded(forget):
+    # one table per level: a level is rebuilt only when a radius needs it
+    # longer, so the held lengths never shrink, and each held table is the
+    # one a fresh build at its length gives
+    forget()
     size = combinatorics._table_size
-    assert size(10 ** 5) == size(10 ** 5 + 1) != size(10 ** 6)
-    assert list(combinatorics._tables) == [size(10 ** 5), size(10 ** 7)]
+    held = [0, 0]
+    for r in (10 ** 5, 10 ** 6, 10 ** 5 + 1, 10 ** 7, 10 ** 6):
+        count_cross(r, 3)
+        lengths = [len(table) for table in combinatorics._tables]
+        assert len(lengths) == 2 and all(map(operator.le, held, lengths)), r
+        held = lengths
+    assert held == [size(10 ** 7) + 1] * 2
     for r in range(10 ** 4, 10 ** 4 + 600):
         count_cross(r, 4)
     assert len(combinatorics._levels) == 256
+    assert [len(table) for table in combinatorics._tables] == held + [size(10 ** 4) + 1]
+    _assert_held_tables_fresh()
 
 
 def test_level_caches_under_thread_switching(forget):
@@ -401,17 +478,30 @@ def test_level_caches_under_thread_switching(forget):
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    samples = []  # held table lengths, read while the threads run
     try:
         threads = [threading.Thread(target=walk, args=(i % 3,)) for i in range(8)]
         for thread in threads:
             thread.start()
+        deadline = time.monotonic() + 120
+        while any(thread.is_alive() for thread in threads) and time.monotonic() < deadline:
+            samples.append([len(table) for table in list(combinatorics._tables)])
+            time.sleep(0.005)
         for thread in threads:
-            thread.join(timeout=120)
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(combinatorics._levels) <= 256 and len(combinatorics._tables) <= 2
+    # one table per level, at most as many as a table of the largest size
+    # has nonzero levels, none ever shorter
+    samples.append([len(table) for table in combinatorics._tables])
+    most = combinatorics._table_size(max(radii)).bit_length() - 1
+    for before, after in zip(samples, samples[1:]):
+        assert len(before) <= len(after) <= most
+        assert all(map(operator.le, before, after))
+    assert len(combinatorics._levels) <= 256
+    _assert_held_tables_fresh()
 
 
 # -- enumeration ------------------------------------------------------------
