@@ -210,11 +210,12 @@ def _log_value(formula: BoundFormula, n: int, d: int, s: float) -> float:
 
 
 def bound_value(formula: BoundFormula, n: int, d: int, s: float) -> float | None:
-    """Evaluate a formula at (n, d, s); None when (n, d) is outside its range."""
+    """Evaluate a formula at (n, d, s); None when (n, d) is outside its range,
+    inf when the value is past double range."""
     n, d, s = _validate_args(formula, n, d, s)
     if not _is_valid(formula, n, d):
         return None
-    return math.exp(_log_value(formula, n, d, s))
+    return _exp(_log_value(formula, n, d, s))
 
 
 class VerificationReport(Record):
@@ -286,12 +287,13 @@ def verify_bound(formula: BoundFormula, d: int, s: float,
                 skipped += 1
                 continue
             log_bound = _log_value(formula, n, d, s)
-            bound = math.exp(log_bound)
             if spectrum is None:  # in log space, as 1 / float(r) ** s may be 0.0
+                bound = _exp(log_bound)
                 a_n = exact_an_sharp(n, d, s)
                 exact = a_n.value()
                 excess = _exp(-s * math.log(a_n.r) - log_bound, minus_one=True)
-            else:
+            else:  # past double range this still raises: inf would make a nan excess
+                bound = math.exp(log_bound)
                 exact = spectrum.sigma(n)
                 excess = (exact - bound) / bound  # exact / bound - 1
             slack = excess if info.side == "upper" else 0.0 - excess  # never -0.0

@@ -20,9 +20,10 @@ are again floor quotients r // m.  One call computes the whole level
 vector (A(r, 1), ..., A(r, L)) over that quotient set: small quotients
 from prefix tables built by a divisor sieve, one table per level kept for
 every later call and read as a prefix by each radius that needs no more
-of it; large ones summed level by level, split at their square roots into
-single factors and blocks of equal quotient.  A bounded cache keeps the
-vectors of recent radii, so C(r, d) for every d is a short sum with
+of it; large ones in one pass, smallest first, each split at its square
+root into single factors and blocks of equal quotient whose floor
+divisions are done once and read by every level.  A bounded cache keeps
+the vectors of recent radii, so C(r, d) for every d is a short sum with
 binomials.
 Before counting, the work is estimated from (r, L) and held against the
 enumeration guard.  An independent depth-first enumerator over Z^d is
@@ -44,7 +45,7 @@ from contextvars import ContextVar
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from math import isqrt
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator
 
 from ._checks import integer, positive, radius
@@ -166,7 +167,11 @@ def _sums_work(r: int, size: int, depth: int) -> int:
     # Entries visited by the sums at the large quotients r // m > T, m <= M
     # = r // (T + 1): M for level 1 and, per deeper level, at most
     # 2 isqrt(r // m) + 1 at each m, where sum_{m <= M} 2 sqrt(r / m) <=
-    # 4 sqrt(r M); each level is summed at m = 1 even when M = 0.
+    # 4 sqrt(r M); each level is summed at m = 1 even when M = 0.  This
+    # charges every level its own floor divisions, as when the levels were
+    # summed one after another; the one pass does them once per quotient,
+    # so the estimate is looser now, kept as it was so that no guard
+    # decision and no refusal's requested count changes.
     large = max(1, r // (size + 1))
     return large + (depth - 1) * (4 * isqrt(r * large) + large + 4)
 
@@ -194,8 +199,10 @@ def _next_table(prev: array | None, ell: int, size: int) -> array:
     # (so k <= T // (b + 1)) a slice over u per k, about b + T / b slices in
     # place of T / 2^(l-1).  int64 holds it: A(n, l) < n^2 < 2^63 for
     # n <= T < 2^31, and an array refuses a larger value, it never wraps.
-    if prev is None:
-        return array("q", [0]) + array("q", range(size))
+    if prev is None:  # S_1(n) = n - 1, and S_1(0) = 0: one array, no copy
+        table = array("q", range(-1, size))
+        table[0] = 0
+        return table
     step = [0]                          # a_{l-1}(n) = S_{l-1}(n) - S_{l-1}(n-1)
     step += map(sub, islice(prev, 1, size // 2 + 1), prev)
     lowest = 1 << (ell - 1)             # least k with a_{l-1}(k) > 0
@@ -232,47 +239,62 @@ def _level_vector(r: int, depth: int) -> tuple[int, ...]:
     A(q, l) = sum_{u >= 2} A(q // u, l - 1), and every q // u is again a
     floor quotient r // m.  Depth 2 is the hyperbola split of the pairs
     u, v >= 2 at isqrt(r).  Deeper, quotients n <= T come from the tables
-    S_l(n) = A(n, l); the large quotients r // m > T, that is m <= M =
-    r // (T + 1), are summed level by level: the factors u with r // (m u)
-    still large read the level below at m u, the others split at isqrt(q)
-    into single factors and blocks of equal quotient.  The last level is
-    needed at m = 1 only.
+    S_l(n) = A(n, l); the large quotients q = r // m > T, that is m <= M =
+    r // (T + 1), are summed in one pass with m falling from M to 1.  The
+    factors u <= u0 = M // m, with q // u still large, read the level
+    below at m u, which the pass has already reached.  The others split
+    at isqrt(q) into single factors and blocks of equal quotient: their
+    floor divisions are done once per q, and every level reads them from
+    its own table.  Level l is needed at m <= r >> l, the last level at
+    m = 1 only.
     """
-    s = isqrt(r)
     if depth == 2:
+        s = isqrt(r)
         pairs = 2 * (sum(map(r.__floordiv__, range(2, s + 1))) - (s - 1)) - (s - 1) ** 2
         return r - 1, pairs
     tables, size = _small_tables(r, depth)
     large = r // (size + 1)
-    prev = [0] + [r // m - 1 for m in range(1, large + 1)]  # A(r // m, 1)
-    # with no large quotient, every level but the last is in the tables
-    levels = [r - 1] if large else [table[r] for table in tables]
-    for ell in range(len(levels) + 1, depth + 1):
-        table = tables[ell - 2] if ell - 2 < len(tables) else None
-        lowest = 1 << (ell - 1)  # least v with A(v, l - 1) > 0
-        top = max(1, min(large, r >> ell)) if ell < depth else 1
-        cur = [0]
-        for m in range(1, top + 1):
-            q = r // m
-            u0 = large // m      # q // u > T exactly for u <= u0
-            total = sum(prev[2 * m:m * u0 + 1:m])
+    if large:  # rows[l - 1][m] = A(r // m, l), level 1 in closed form
+        rows = [[0] + [r // m - 1 for m in range(1, large + 1)]]
+    else:      # every level but the last is in the tables
+        rows = [[0, table[r]] for table in tables]
+    # per level summed: its row, the row below, the table of the level below
+    # (none once 2^(l-1) > T: that level is 0 on 0..T) and 2^(l-1); the
+    # first level summed reads the most of each split, the others a prefix
+    plan = []
+    for ell in range(len(rows) + 1, depth + 1):
+        rows.append([0] * (max(1, min(large, r >> ell)) + 1 if ell < depth else 2))
+        plan.append((rows[ell - 1], rows[ell - 2],
+                     tables[ell - 2] if ell - 2 < len(tables) else None, 1 << (ell - 1)))
+    first = plan[0][3]
+    for m in range(max(large, 1), 0, -1):
+        q = r // m
+        u0 = large // m      # q // u > T exactly for u <= u0, and u0 <= isqrt(q)
+        s = isqrt(q)
+        low = max(u0, 1)
+        # the factors u0 < u <= top; A(q // u, l - 1) = 0 for u > q // 2^(l-1)
+        top = min(s, q // first)
+        quotients = list(map(q.__floordiv__, range(low + 1, top + 1)))
+        get = itemgetter(0, 0, *quotients)  # S_l(0) = 0 pads it to a tuple
+        # u > s: #{u > s : q // u = v} = q // v - q // (v + 1) for v < far,
+        # and q // far - s for v = far; widths[v - first] for v >= first
+        far = q // (s + 1)
+        if far >= first:
+            ends = list(map(q.__floordiv__, range(first, far + 1)))
+            ends.append(s)
+            widths = list(map(sub, ends, islice(ends, 1, None)))
+        for row, below, table, lowest in plan:
+            if m >= len(row):  # m > r >> l: this level and the deeper ones are done
+                break
+            total = sum(below[2 * m:m * u0 + 1:m])  # read at m u > m, already summed
             if table is not None:
-                s = isqrt(q)
-                cap = min(s, q >> (ell - 1))
-                total += sum(map(table.__getitem__,
-                                 map(q.__floordiv__, range(max(u0, 1) + 1, cap + 1))))
-                # u > s: #{u > s : q // u = v} = q // v - q // (v + 1) for
-                # v < far, and q // far - s for v = far
-                far = q // (s + 1)
+                cap = min(s, q // lowest)
+                total += sum(get(table)) if cap == top else \
+                    sum(map(table.__getitem__, quotients[:cap - low]))
                 if far >= lowest:
-                    ends = list(map(q.__floordiv__, range(lowest, far + 1)))
-                    ends.append(s)
-                    total += sum(map(mul, table[lowest:far + 1],
-                                     map(sub, ends, islice(ends, 1, None))))
-            cur.append(total)
-        prev = cur
-        levels.append(cur[1])
-    return tuple(levels)
+                    total += sum(map(mul, table[lowest:far + 1], widths[lowest - first:]))
+            row[m] = total
+    return tuple([row[1] for row in rows])
 
 
 def _positive_levels(r: int, depth: int) -> tuple[int, ...]:

@@ -50,6 +50,14 @@ def test_bound_value_pinned_examples():
     assert sharp == pytest.approx(0.0813787, rel=1e-5)
 
 
+def test_bound_value_past_double_range_is_inf():
+    # e^(log bound) past double range is inf, as in asymptotic_constant
+    assert bound_value(BoundFormula.P_SQUARED, 2, 64, 300.0) == math.inf
+    assert bound_value(BoundFormula.PRE_UPPER_46, 2, 1100, 1e300) == math.inf
+    report = verify_bound(BoundFormula.P_SQUARED, 64, 300.0, [2, 3])
+    assert report.passed and report.max_slack == -1.0
+
+
 def test_alpha_exponent_pinned_values():
     for d in range(1, 9):
         assert alpha_exponent(4 ** d, d) == 2.0

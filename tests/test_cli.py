@@ -134,6 +134,16 @@ def test_verify_sharp_lower_below_double_range(capsys):
     assert payload["checked"] == 928 and payload["max_slack"] < 0.0
 
 
+@pytest.mark.parametrize("formula, d, s", [("p-squared", "64", "300"),
+                                           ("pre-upper-46", "1100", "1e300")])
+def test_verify_sharp_bound_past_double_range(capsys, formula, d, s):
+    # the bound overflows a double at small n: inf there, not a traceback
+    code, out, _ = run(capsys, "verify", "--formula", formula, "--d", d, "--s", s)
+    payload = json.loads(out)
+    assert code == EXIT_OK and payload["pass"] is True and payload["violations"] == []
+    assert payload["checked"] == 1000 and payload["max_slack"] == -1.0
+
+
 def test_verify_nothing_checked_is_valid_json(capsys):
     # every grid point lies below the formula's validity range
     code, out, _ = run(capsys, "verify", "--formula", "sharp-lower-43",

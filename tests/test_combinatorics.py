@@ -194,6 +194,39 @@ def test_level_vector_matches_recursion(forget, r, cold, shallow_first):
         assert combinatorics._level_vector(r, depth) == tuple(expected[:depth])
 
 
+# Radii at the edges of the one pass over the large quotients: M = r // (T + 1)
+# is 0 (every level but the last is read from the tables) or 1; the quotient
+# list holds one entry (the padded itemgetter must still give a tuple); and
+# deep levels read only a prefix of the list, their cap below isqrt(q).
+_PASS_EDGES = [8, 16, 23, 4096, 4097, 6143, 8193, 8194, 2 ** 17 + 1, 10 ** 6 + 1]
+
+
+def test_pass_edges_cover_the_cases():
+    size = combinatorics._table_size
+    assert {r // (size(r) + 1) for r in _PASS_EDGES} >= {0, 1}
+    # with M = 0, the last level at m = 1 lists q // u for 2 <= u <= top
+    assert any(r < size(r) + 1 and min(math.isqrt(r), r >> (depth - 1)) == 2
+               for r in _PASS_EDGES for depth in range(3, r.bit_length()))
+    # with M > 0, level l at m = 1 reads a prefix of the list from the table
+    # of level l - 1 once r >> (l - 1) < isqrt(r); the deepest such table
+    assert any(r > size(r) and r >> combinatorics._table_levels(size(r), depth) < math.isqrt(r)
+               for r in _PASS_EDGES for depth in range(3, r.bit_length()))
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["cold", "larger-tables-held"])
+def test_level_vector_at_pass_edges(forget, held):
+    forget()
+    if held:
+        count_cross(10 ** 7, 20)
+    for r in _PASS_EDGES:
+        full = r.bit_length() - 1
+        expected = tuple(_recursive_positive_count(r, ell) for ell in range(1, full + 1))
+        for depth in range(3, full + 1):
+            if not held:
+                forget()
+            assert combinatorics._level_vector(r, depth) == expected[:depth], (r, depth)
+
+
 def _entries_visited(r, depth):
     # The entries the loops of _level_vector visit at depth >= 3, read off
     # their ranges, as (sieve, sums).  The sieve, its tables built afresh:
@@ -201,9 +234,12 @@ def _entries_visited(r, depth):
     # prefix sums and one entry per (u, k) with u k <= T, on either side of
     # the split.
     # The sums: level 1 at the large quotients (with none, the tables'
-    # levels are read at r), then per level, at each m, the factors
-    # u <= u0 read from the level below, the single factors up to isqrt(q)
-    # and the blocks.
+    # levels are read at r), then one pass over m = M..1 (m = 1 alone when
+    # M = 0).  Once per m: the quotient list, up to the cap of the first
+    # level summed, and the block ends with their widths, one entry per
+    # block.  Per level summed at m: the factors u <= u0 read from the
+    # level below, the part of the quotient list it reads (with the two
+    # padding zeros when it reads all of it) and its blocks.
     size = combinatorics._table_size(r)
     levels = combinatorics._table_levels(size, depth)
     sieve = size + 1
@@ -216,17 +252,22 @@ def _entries_visited(r, depth):
         sieve += sum(size // k - split for k in range(lowest, size // (split + 1) + 1))
     large = r // (size + 1)
     sums = large or levels
-    for ell in range(2 if large else levels + 1, depth + 1):
-        lowest = 1 << (ell - 1)
-        top = max(1, min(large, r >> ell)) if ell < depth else 1
-        for m in range(1, top + 1):
-            q, u0 = r // m, large // m
-            sums += u0
+    summed = range(2 if large else levels + 1, depth + 1)
+    first = 1 << (summed[0] - 1)
+    for m in range(max(large, 1), 0, -1):
+        q, u0 = r // m, large // m
+        s, low = math.isqrt(q), max(u0, 1)
+        top, far = min(s, q // first), q // (s + 1)
+        sums += top - low + max(0, far - first + 1)
+        for ell in summed:
+            if m > (max(1, min(large, r >> ell)) if ell < depth else 1):
+                break
+            sums += max(0, u0 - 1)
             if ell - 2 < levels:
-                s = math.isqrt(q)
-                sums += max(0, min(s, q >> (ell - 1)) - max(u0, 1))
-                far = q // (s + 1)
-                sums += max(0, far - lowest + 2)
+                lowest = 1 << (ell - 1)
+                cap = min(s, q // lowest)
+                sums += top - low + 2 if cap == top else cap - low
+                sums += max(0, far - lowest + 1)
     return sieve, sums
 
 
